@@ -6,6 +6,12 @@
 //   NestedLoopGroupBy/n — the nest-style NRC grouping : O(n^2)
 //   IndexSweepM/m       — cost of hole filling as the key range grows at
 //                         fixed n (the "m" term of the paper's bound)
+//   *Compiled/n         — the same plans on the compiled backend, whose
+//                         set pipelines hash-probe nest's inner scan
+//                         (docs/EXEC.md §7): nest then costs O(n * g) for
+//                         groups of g, instead of n^2 scans
+//   NestedLoopGroupByCompiledGroupsOf4/n — n/4 keys: g stays 4, so the
+//                         compiled nest is linear
 
 #include "bench_util.h"
 
@@ -43,6 +49,42 @@ void BM_NestedLoopGroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_NestedLoopGroupBy)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
 
+void BM_NestedLoopGroupByCompiled(benchmark::State& state) {
+  System* sys = SharedSystem();
+  (void)sys->DefineVal("P", PairSet(state.range(0), 64));
+  ExprPtr q = MustCompile(sys, state, "nest!P");
+  std::optional<exec::Program> program = MustCompileExec(sys, state, q);
+  if (!program) return;
+  for (auto _ : state) benchmark::DoNotOptimize(MustRun(state, *program));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_NestedLoopGroupByCompiled)->RangeMultiplier(2)->Range(128, 8192)->Complexity();
+
+void BM_NestedLoopGroupByCompiledGroupsOf4(benchmark::State& state) {
+  System* sys = SharedSystem();
+  (void)sys->DefineVal("P", PairSet(state.range(0), state.range(0) / 4));
+  ExprPtr q = MustCompile(sys, state, "nest!P");
+  std::optional<exec::Program> program = MustCompileExec(sys, state, q);
+  if (!program) return;
+  for (auto _ : state) benchmark::DoNotOptimize(MustRun(state, *program));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_NestedLoopGroupByCompiledGroupsOf4)
+    ->RangeMultiplier(2)
+    ->Range(128, 8192)
+    ->Complexity();
+
+void BM_IndexGroupByCompiled(benchmark::State& state) {
+  System* sys = SharedSystem();
+  (void)sys->DefineVal("P", PairSet(state.range(0), 64));
+  ExprPtr q = MustCompile(sys, state, "index!P");
+  std::optional<exec::Program> program = MustCompileExec(sys, state, q);
+  if (!program) return;
+  for (auto _ : state) benchmark::DoNotOptimize(MustRun(state, *program));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_IndexGroupByCompiled)->RangeMultiplier(2)->Range(128, 8192)->Complexity();
+
 void BM_IndexSweepM(benchmark::State& state) {
   System* sys = SharedSystem();
   (void)sys->DefineVal("P", PairSet(1024, state.range(0)));
@@ -71,6 +113,17 @@ void BM_NestThenCount(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_NestThenCount)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
+
+void BM_NestThenCountCompiled(benchmark::State& state) {
+  System* sys = SharedSystem();
+  (void)sys->DefineVal("P", PairSet(state.range(0), 64));
+  ExprPtr q = MustCompile(sys, state, "{ (k, card!vs) | (\\k, \\vs) <- nest!P }");
+  std::optional<exec::Program> program = MustCompileExec(sys, state, q);
+  if (!program) return;
+  for (auto _ : state) benchmark::DoNotOptimize(MustRun(state, *program));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_NestThenCountCompiled)->RangeMultiplier(2)->Range(128, 8192)->Complexity();
 
 }  // namespace
 }  // namespace bench

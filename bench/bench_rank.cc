@@ -7,6 +7,11 @@
 //                     primitive over the canonical set order (§4.1
 //                     openness; one pass, O(n))
 //   RankNative/n    — the same enumeration as a raw C++ baseline
+//   RankCountingCompiled/n — the counting definition on the compiled
+//                     backend, whose set pipelines turn the inner
+//                     `z < y` filter into a binary-searched range
+//                     (docs/EXEC.md §7): the scan disappears, the count
+//                     of the admitted range stays
 // Shape: counting is quadratic; the U_r-backed rank tracks the native
 // slope — the expressiveness theorem is also an efficiency statement.
 
@@ -50,6 +55,17 @@ void BM_RankCounting(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_RankCounting)->RangeMultiplier(2)->Range(64, 2048)->Complexity();
+
+void BM_RankCountingCompiled(benchmark::State& state) {
+  System* sys = SharedSystem();
+  (void)sys->DefineVal("X", NatSet(state.range(0)));
+  ExprPtr q = MustCompile(sys, state, "rank!X");
+  std::optional<exec::Program> program = MustCompileExec(sys, state, q);
+  if (!program) return;
+  for (auto _ : state) benchmark::DoNotOptimize(MustRun(state, *program));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_RankCountingCompiled)->RangeMultiplier(2)->Range(64, 2048)->Complexity();
 
 void BM_RankViaUr(benchmark::State& state) {
   System* sys = SharedSystem();

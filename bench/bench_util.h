@@ -10,11 +10,13 @@
 #define AQL_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "benchmark/benchmark.h"
 #include "env/system.h"
+#include "exec/compiled.h"
 
 namespace aql {
 namespace bench {
@@ -86,6 +88,28 @@ inline ExprPtr MustCompile(System* sys, benchmark::State& state, const std::stri
 // Evaluates a precompiled query, aborting the benchmark on host errors.
 inline Value MustEval(System* sys, benchmark::State& state, const ExprPtr& compiled) {
   auto r = sys->EvalCore(compiled);
+  if (!r.ok()) {
+    state.SkipWithError(r.status().ToString().c_str());
+    return Value::Bottom();
+  }
+  return std::move(r).value();
+}
+
+// The compiled backend's program (src/exec) for a precompiled query,
+// built once; nullopt (and the benchmark skipped) on error.
+inline std::optional<exec::Program> MustCompileExec(System* sys, benchmark::State& state,
+                                                   const ExprPtr& compiled) {
+  auto r = exec::Compile(compiled, sys->PrimitiveResolver());
+  if (!r.ok()) {
+    state.SkipWithError(r.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return std::move(r).value();
+}
+
+// Runs a compiled program, aborting the benchmark on host errors.
+inline Value MustRun(benchmark::State& state, const exec::Program& program) {
+  auto r = program.Run();
   if (!r.ok()) {
     state.SkipWithError(r.status().ToString().c_str());
     return Value::Bottom();

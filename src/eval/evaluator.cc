@@ -358,12 +358,17 @@ Result<Value> Evaluator::EvalIndex(const Expr& e, const Environment& env) const 
         return Status::EvalError(StrCat("index_", k, " key has wrong shape"));
       }
     }
-    for (size_t j = 0; j < k; ++j) dims[j] = std::max(dims[j], idx[j] + 1);
+    for (size_t j = 0; j < k; ++j) {
+      // The extent is key + 1, so the largest nat has no extent.
+      if (idx[j] == UINT64_MAX) return Status::EvalError("index key overflows the extent");
+      dims[j] = std::max(dims[j], idx[j] + 1);
+    }
     entries.emplace_back(std::move(idx), &pair.tuple_fields()[1]);
   }
 
-  uint64_t total = 1;
-  for (uint64_t d : dims) total *= d;
+  // Overflow- and cap-checked like a tabulation: a huge key is an error,
+  // not a giant bucket allocation.
+  AQL_ASSIGN_OR_RETURN(uint64_t total, CheckedVolume(dims));
   // Fill the holes with {} and group duplicate keys into sets (§2: the
   // result type is [[{t}]]_k precisely to absorb holes and collisions).
   std::vector<std::vector<Value>> buckets(total);

@@ -67,14 +67,17 @@ class SlotNode : public Node {
 };
 
 // Closure: captured values + code compiled against a fresh frame laid out
-// as [captures..., param, scratch...].
+// as [captures..., param, scratch...]. Carries the knobs of the run that
+// created it, so applying it later (from a primitive) reads no env vars.
 class CompiledClosure : public FuncValue {
  public:
-  CompiledClosure(std::vector<Value> captured, const Node* body, size_t frame_size)
-      : captured_(std::move(captured)), body_(body), frame_size_(frame_size) {}
+  CompiledClosure(std::vector<Value> captured, const Node* body, size_t frame_size,
+                  const ExecKnobs& knobs)
+      : captured_(std::move(captured)), body_(body), frame_size_(frame_size), knobs_(knobs) {}
 
   Result<Value> Apply(const Value& arg) const override {
     Frame frame;
+    frame.knobs = knobs_;
     frame.slots.resize(frame_size_);
     std::copy(captured_.begin(), captured_.end(), frame.slots.begin());
     frame.slots[captured_.size()] = arg;
@@ -87,6 +90,7 @@ class CompiledClosure : public FuncValue {
   std::vector<Value> captured_;
   const Node* body_;
   size_t frame_size_;
+  ExecKnobs knobs_;
 };
 
 // Creates a closure, capturing the listed slots of the current frame.
@@ -102,8 +106,8 @@ class LambdaNode : public Node {
     std::vector<Value> captured;
     captured.reserve(capture_slots_.size());
     for (size_t s : capture_slots_) captured.push_back(f->slots[s]);
-    return Value::MakeFunc(std::make_shared<CompiledClosure>(std::move(captured),
-                                                             body_.get(), frame_size_));
+    return Value::MakeFunc(std::make_shared<CompiledClosure>(
+        std::move(captured), body_.get(), frame_size_, f->knobs));
   }
 
  private:
@@ -166,6 +170,146 @@ class ProjNode : public Node {
   NodePtr inner_;
 };
 
+// ---------- set pipelines ----------
+
+// True iff <_t orders values like `v` strictly and HashValue agrees with
+// it: no NaN (which compares equal to everything), no ⊥ or function, no
+// tiled array (its content needs I/O; its hash is by provenance). The
+// probes rely on both properties; anything else makes the loop scan.
+// `strict` also refuses -0.0, which <_t equates with 0.0 although it
+// prints differently: which of two such duplicates a set keeps is then up
+// to Value::MakeSet's sort, so the set builder must not pre-empt it.
+bool Orderly(const Value& v, bool strict = false) {
+  auto all = [strict](const std::vector<Value>& xs) {
+    return std::all_of(xs.begin(), xs.end(),
+                       [strict](const Value& x) { return Orderly(x, strict); });
+  };
+  auto real_ok = [strict](double d) {
+    return !std::isnan(d) && !(strict && d == 0 && std::signbit(d));
+  };
+  switch (v.kind()) {
+    case ValueKind::kBool:
+    case ValueKind::kNat:
+    case ValueKind::kString:
+      return true;
+    case ValueKind::kReal:
+      return real_ok(v.real_value());
+    case ValueKind::kTuple:
+      return all(v.tuple_fields());
+    case ValueKind::kSet:
+      return all(v.set().elems);
+    case ValueKind::kArray: {
+      const ArrayRep& a = v.array();
+      switch (a.payload) {
+        case ArrayRep::Payload::kBoxed:
+          return all(a.elems);
+        case ArrayRep::Payload::kReals:
+          return std::all_of(a.reals.begin(), a.reals.end(), real_ok);
+        case ArrayRep::Payload::kNats:
+        case ArrayRep::Payload::kBools:
+          return true;
+        case ArrayRep::Payload::kTiled:
+          return false;
+      }
+      return false;
+    }
+    case ValueKind::kBottom:
+    case ValueKind::kFunc:
+      return false;
+  }
+  return false;
+}
+
+}  // namespace
+
+// The elements of one set comprehension, in emission order. Finish()
+// canonicalizes them (sorted under <_t, deduplicated) with the least
+// work the order they arrived in allows: nothing when they ascended,
+// dropping adjacent duplicates when they ascended with repeats, and
+// Value::MakeSet's sort only otherwise. Comprehensions over sorted
+// sources emit in ascending order far more often than not. Elements <_t
+// cannot order strictly (Orderly) always take the sort, so the result is
+// the one MakeSet gives even where the order is broken.
+class SetBuilder {
+ public:
+  void Append(Value v) {
+    Note(v);
+    elems_.push_back(std::move(v));
+  }
+  // A canonical set ascends internally, so only its first element is
+  // compared; every element must still be Orderly.
+  void AppendSet(const SetRep& s) {
+    if (s.elems.empty()) return;
+    Note(s.elems.front());
+    for (size_t i = 1; ascending_ && i < s.elems.size(); ++i) {
+      ascending_ = Orderly(s.elems[i], /*strict=*/true);
+    }
+    elems_.insert(elems_.end(), s.elems.begin(), s.elems.end());
+  }
+
+  // Loop-driver protocol (DriveLoop): a parallel chunk collects into its
+  // own builder, and chunks are absorbed in source order.
+  SetBuilder ForChunk() const { return SetBuilder(); }
+  Status Absorb(SetBuilder&& chunk) {
+    if (chunk.elems_.empty()) return Status::OK();
+    Note(chunk.elems_.front());
+    ascending_ = ascending_ && chunk.ascending_;
+    duplicates_ = duplicates_ || chunk.duplicates_;
+    elems_.insert(elems_.end(), std::make_move_iterator(chunk.elems_.begin()),
+                  std::make_move_iterator(chunk.elems_.end()));
+    return Status::OK();
+  }
+
+  Value Finish() && {
+    if (!ascending_) return Value::MakeSet(std::move(elems_));
+    if (duplicates_) {
+      elems_.erase(std::unique(elems_.begin(), elems_.end(),
+                               [](const Value& a, const Value& b) {
+                                 return Value::Compare(a, b) == 0;
+                               }),
+                   elems_.end());
+    }
+    if (elems_.size() > 1) {
+      GlobalExecStats().sorts_skipped.fetch_add(1, std::memory_order_relaxed);
+    }
+    return Value::MakeSetCanonical(std::move(elems_));
+  }
+
+ private:
+  void Note(const Value& next) {
+    if (!ascending_) return;
+    ascending_ = Orderly(next, /*strict=*/true);
+    if (!ascending_ || elems_.empty()) return;
+    const int c = Value::Compare(elems_.back(), next);
+    if (c > 0) {
+      ascending_ = false;
+    } else if (c == 0) {
+      duplicates_ = true;
+    }
+  }
+
+  std::vector<Value> elems_;
+  bool ascending_ = true;
+  bool duplicates_ = false;
+};
+
+Result<bool> Node::Emit(Frame* frame, SetBuilder* out) const {
+  AQL_ASSIGN_OR_RETURN(Value v, Run(frame));
+  if (v.is_bottom()) return false;
+  out->AppendSet(v.set());
+  return true;
+}
+
+// A hash index of one probed source: element i's key and, sorted, the
+// (hash of key, i) pairs, so the matches of one probe come out in
+// ascending element order.
+struct ProbeIndex {
+  std::vector<const Value*> keys;  // into the memo's source set
+  std::vector<std::pair<uint64_t, uint32_t>> by_hash;
+};
+
+namespace {
+
 class SingletonNode : public Node {
  public:
   explicit SingletonNode(NodePtr inner) : inner_(std::move(inner)) {}
@@ -173,6 +317,12 @@ class SingletonNode : public Node {
     AQL_ASSIGN_OR_RETURN(Value v, inner_->Run(f));
     if (v.is_bottom()) return Value::Bottom();
     return Value::MakeSetCanonical({std::move(v)});
+  }
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override {
+    AQL_ASSIGN_OR_RETURN(Value v, inner_->Run(f));
+    if (v.is_bottom()) return false;
+    out->Append(std::move(v));
+    return true;
   }
 
  private:
@@ -189,102 +339,376 @@ class UnionNode : public Node {
     if (b.is_bottom()) return Value::Bottom();
     return Value::SetUnion(a, b);
   }
+  // Both operands in order, as Run evaluates them; the builder merges.
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override {
+    AQL_ASSIGN_OR_RETURN(bool defined, a_->Emit(f, out));
+    if (!defined) return false;
+    return b_->Emit(f, out);
+  }
 
  private:
   NodePtr a_, b_;
 };
 
-// Parallel body evaluation for the set-driven loops (big union, sum):
-// every source element's body value lands in parts[i], evaluated by
-// chunks over worker-private Frame copies. The fold over the parts stays
-// sequential in the caller, which is what keeps results bit-identical to
-// the single-threaded loop (left-to-right real addition, first ⊥/error
-// in index order).
-//
-// `terminal` is the lowest index whose body came out ⊥ or as an error;
-// parts at indices beyond it may be unset (chunks stop early), so callers
-// must stop their fold when they reach it. A non-OK return is an
-// interrupt (cancellation/deadline) only.
-struct LoopParts {
-  std::vector<Value> parts;
-  uint64_t terminal = UINT64_MAX;
-  bool terminal_is_bottom = false;
-  Status terminal_status;
+// The Sum fold. Sequentially it adds each part as it comes; in a parallel
+// chunk it keeps the parts, and absorbing the chunks in source order
+// replays the sequential left-to-right addition (real rounding and the
+// first mixed-kind error included).
+class SumFold {
+ public:
+  Status Add(Value part) {
+    if (deferred_) {
+      parts_.push_back(std::move(part));
+      return Status::OK();
+    }
+    if (first_) {
+      is_real_ = part.kind() == ValueKind::kReal;
+      first_ = false;
+    }
+    if (is_real_) {
+      if (part.kind() != ValueKind::kReal) {
+        return Status::EvalError("Sum body mixed nat and real");
+      }
+      real_total_ += part.real_value();
+    } else {
+      if (part.kind() != ValueKind::kNat) {
+        return Status::EvalError("Sum body must be nat or real");
+      }
+      nat_total_ += part.nat_value();
+    }
+    return Status::OK();
+  }
+  SumFold ForChunk() const {
+    SumFold chunk;
+    chunk.deferred_ = true;
+    return chunk;
+  }
+  Status Absorb(SumFold&& chunk) {
+    for (Value& part : chunk.parts_) AQL_RETURN_IF_ERROR(Add(std::move(part)));
+    return Status::OK();
+  }
+  Value Total() const {
+    if (first_) return Value::Nat(0);  // empty source: nat 0 coerces either way
+    return is_real_ ? Value::Real(real_total_) : Value::Nat(nat_total_);
+  }
+
+ private:
+  uint64_t nat_total_ = 0;
+  double real_total_ = 0;
+  bool is_real_ = false;
+  bool first_ = true;
+  bool deferred_ = false;
+  std::vector<Value> parts_;
 };
 
-Result<LoopParts> EvalBodyParallel(const Frame& f, size_t binder_slot, const Node* body,
-                                   const std::vector<Value>& xs) {
-  LoopParts lp;
-  lp.parts.assign(xs.size(), Value());
+// The elements one loop visits, by position: a materialized set or a
+// counted gen(n) (element i is Nat(i)), narrowed to a contiguous element
+// range or to a probe's matching elements.
+struct LoopView {
+  const std::vector<Value>* elems = nullptr;  // null: counted gen
+  uint64_t lo = 0, hi = 0;                    // visited element range
+  bool probed = false;                        // visit `picks` instead
+  std::vector<uint32_t> picks;                // ascending element indices
+
+  uint64_t size() const { return probed ? picks.size() : hi - lo; }
+  Value At(uint64_t pos) const {
+    const uint64_t i = probed ? picks[pos] : lo + pos;
+    return elems != nullptr ? (*elems)[i] : Value::Nat(i);
+  }
+};
+
+// The one loop driver of the set-driven loops (big union, sum). Binds the
+// binder slot to each element of `view` in turn and runs `step(frame,
+// acc)`, which evaluates the body and folds it into `acc`; step returns
+// false when the body came out ⊥. Returns false on the first ⊥, the first
+// error as a status, true otherwise.
+//
+// At or above the run's parallel threshold the positions after the first
+// kWarmPositions are split into chunks over private Frame copies, each
+// folding into acc->ForChunk(); the chunks before the lowest failing
+// position are then absorbed into `acc` in source order, and that
+// position's ⊥ or error is returned — exactly what the sequential loop
+// stops at. The first positions run in the caller's frame: a probe in the
+// body scans on its first visit and builds its index on the second, so
+// every chunk's frame copy starts with that index instead of building its
+// own. Loops above the boxed allocation limit stay sequential, since
+// chunks may buffer one value per element. A non-OK status from the
+// parallel machinery itself is an interrupt.
+constexpr uint64_t kWarmPositions = 2;
+
+template <typename Acc, typename Step>
+Result<bool> DriveLoop(Frame* f, size_t binder_slot, const LoopView& view, Acc* acc,
+                       const Step& step) {
+  const uint64_t n = view.size();
+  const bool parallel = f->knobs.par.ShouldParallelize(n) && n <= kBoxedAllocLimit;
+  const uint64_t sequential = parallel ? std::min(n, kWarmPositions) : n;
+  for (uint64_t i = 0; i < sequential; ++i) {
+    AQL_RETURN_IF_ERROR(CheckInterrupt());
+    f->slots[binder_slot] = view.At(i);
+    AQL_ASSIGN_OR_RETURN(bool defined, step(f, acc));
+    if (!defined) return false;
+  }
+  if (sequential == n) return true;
+  struct Chunk {
+    uint64_t begin;
+    Acc acc;
+  };
+  std::vector<Chunk> chunks;
   std::atomic<uint64_t> terminal{UINT64_MAX};
   Mutex mu("exec.par.terminal", lock_rank::kExecTerminal);
   bool terminal_bottom = false;
   Status terminal_status;
-  Status ps = ParallelFor(xs.size(), [&](uint64_t b, uint64_t e) -> Status {
-    Frame local = f;  // private register file per chunk
-    for (uint64_t i = b; i < e; ++i) {
-      if (((i - b) & 0x3FF) == 0) {
-        AQL_RETURN_IF_ERROR(CheckInterrupt());
-        if (terminal.load(std::memory_order_relaxed) < i) return Status::OK();
-      }
-      local.slots[binder_slot] = xs[i];
-      Result<Value> r = body->Run(&local);
-      if (!r.ok() || r.value().is_bottom()) {
-        MutexLock lock(&mu);
-        if (i < terminal.load(std::memory_order_relaxed)) {
-          terminal.store(i, std::memory_order_relaxed);
-          terminal_bottom = r.ok();
-          terminal_status = r.ok() ? Status::OK() : r.status();
+  Status ps = ParallelFor(
+      n - sequential,
+      [&](uint64_t b, uint64_t e) -> Status {
+        b += sequential;
+        e += sequential;
+        Frame local = *f;  // private register file per chunk
+        Acc part = acc->ForChunk();
+        for (uint64_t i = b; i < e; ++i) {
+          if (((i - b) & 0x3FF) == 0) {
+            AQL_RETURN_IF_ERROR(CheckInterrupt());
+            if (terminal.load(std::memory_order_relaxed) < i) break;
+          }
+          local.slots[binder_slot] = view.At(i);
+          Result<bool> r = step(&local, &part);
+          if (!r.ok() || !r.value()) {
+            MutexLock lock(&mu);
+            if (i < terminal.load(std::memory_order_relaxed)) {
+              terminal.store(i, std::memory_order_relaxed);
+              terminal_bottom = r.ok();
+              terminal_status = r.ok() ? Status::OK() : r.status();
+            }
+            break;
+          }
         }
+        MutexLock lock(&mu);
+        chunks.push_back(Chunk{b, std::move(part)});
         return Status::OK();
-      }
-      lp.parts[i] = std::move(r).value();
-    }
-    return Status::OK();
-  });
+      },
+      f->knobs.par);
   AQL_RETURN_IF_ERROR(ps);
-  lp.terminal = terminal.load(std::memory_order_relaxed);
-  lp.terminal_is_bottom = terminal_bottom;
-  lp.terminal_status = std::move(terminal_status);
-  return lp;
+  std::sort(chunks.begin(), chunks.end(),
+            [](const Chunk& a, const Chunk& b) { return a.begin < b.begin; });
+  const uint64_t stop = terminal.load(std::memory_order_relaxed);
+  for (Chunk& c : chunks) {
+    if (c.begin > stop) break;
+    AQL_RETURN_IF_ERROR(acc->Absorb(std::move(c.acc)));
+  }
+  if (stop == UINT64_MAX) return true;
+  if (terminal_bottom) return false;
+  return terminal_status;
+}
+
+// Where a comprehension's elements come from: a set-valued node, or the
+// count n of a `gen(n)` source, which then runs as a counted loop without
+// materializing the set.
+struct LoopSource {
+  NodePtr node;
+  bool counted = false;
+
+  // Evaluates the source into `view` (`*held` keeps a set alive). False
+  // when it is ⊥; a non-nat count fails as GenNode does.
+  Result<bool> Open(Frame* f, Value* held, LoopView* view) const {
+    AQL_ASSIGN_OR_RETURN(*held, node->Run(f));
+    if (held->is_bottom()) return false;
+    if (counted) {
+      if (held->kind() != ValueKind::kNat) return Status::EvalError("gen of non-nat");
+      view->hi = held->nat_value();
+    } else {
+      view->elems = &held->set().elems;
+      view->hi = view->elems->size();
+    }
+    return true;
+  }
+};
+
+// The guard a comprehension body was admitted under (chosen at compile
+// time by Compiler::CompileUnionBody). For a body `if C then B else {}`:
+//   kProbe: C is K(x) = O with K a projection path of the binder x, O free
+//           of x, the source loop-invariant — a hash probe of the source;
+//   kRange: C is x op O (or O op x) with op one of < <= > >= =, O free of
+//           x — the contiguous range of the ascending source where C holds.
+// `outer` (O) and `then` (B) are owned by the loop's full body node, which
+// the loop still runs whenever it has to scan.
+struct LoopGuard {
+  enum class Kind { kNone, kProbe, kRange };
+  Kind kind = Kind::kNone;
+  CmpOp op = CmpOp::kEq;  // kRange: normalized to `x op O`
+  std::vector<std::pair<size_t, size_t>> key_path;  // kProbe: (index, arity), innermost first
+  const Node* outer = nullptr;
+  const Node* then = nullptr;
+
+  // K(x), mirroring ProjNode; null when the path does not apply.
+  const Value* KeyOf(const Value& x) const {
+    const Value* v = &x;
+    for (const auto& [index, arity] : key_path) {
+      if (v->kind() != ValueKind::kTuple || v->tuple_fields().size() != arity) return nullptr;
+      v = &v->tuple_fields()[index - 1];
+    }
+    return v;
+  }
+};
+
+// The memo of `site` in this frame for source `src`, reset when the
+// source is a different set than last time.
+ProbeMemo* MemoFor(Frame* f, const void* site, const Value& src) {
+  for (ProbeMemo& m : f->probes) {
+    if (m.site != site) continue;
+    if (&m.source.set() != &src.set()) m = ProbeMemo(site, src);
+    return &m;
+  }
+  f->probes.emplace_back(site, src);
+  return &f->probes.back();
 }
 
 class BigUnionNode : public Node {
  public:
-  BigUnionNode(size_t binder_slot, NodePtr body, NodePtr source)
-      : binder_slot_(binder_slot), body_(std::move(body)), source_(std::move(source)) {}
+  BigUnionNode(size_t binder_slot, NodePtr body, LoopSource source, LoopGuard guard)
+      : binder_slot_(binder_slot),
+        body_(std::move(body)),
+        source_(std::move(source)),
+        guard_(std::move(guard)) {}
+
   Result<Value> Run(Frame* f) const override {
-    AQL_ASSIGN_OR_RETURN(Value src, source_->Run(f));
-    if (src.is_bottom()) return Value::Bottom();
-    const std::vector<Value>& xs = src.set().elems;
-    std::vector<Value> acc;
-    if (ShouldParallelize(xs.size())) {
-      AQL_ASSIGN_OR_RETURN(LoopParts lp,
-                           EvalBodyParallel(*f, binder_slot_, body_.get(), xs));
-      for (uint64_t i = 0; i < xs.size(); ++i) {
-        if (i == lp.terminal) {
-          if (lp.terminal_is_bottom) return Value::Bottom();
-          return lp.terminal_status;
-        }
-        const auto& elems = lp.parts[i].set().elems;
-        acc.insert(acc.end(), elems.begin(), elems.end());
-      }
-      return Value::MakeSet(std::move(acc));
+    SetBuilder out;
+    AQL_ASSIGN_OR_RETURN(bool defined, Emit(f, &out));
+    if (!defined) return Value::Bottom();
+    return std::move(out).Finish();
+  }
+
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override {
+    Value src;
+    LoopView view;
+    AQL_ASSIGN_OR_RETURN(bool defined, source_.Open(f, &src, &view));
+    if (!defined) return false;
+    const Node* body = body_.get();
+    if (guard_.kind != LoopGuard::Kind::kNone && view.size() > 0) {
+      AQL_ASSIGN_OR_RETURN(Narrowing n, guard_.kind == LoopGuard::Kind::kRange
+                                            ? NarrowToRange(f, src, &view)
+                                            : NarrowByProbe(f, src, &view));
+      if (n == Narrowing::kBottom) return false;
+      if (n == Narrowing::kNarrowed) body = guard_.then;
     }
-    for (const Value& x : xs) {
-      AQL_RETURN_IF_ERROR(CheckInterrupt());
-      f->slots[binder_slot_] = x;
-      AQL_ASSIGN_OR_RETURN(Value part, body_->Run(f));
-      if (part.is_bottom()) return Value::Bottom();
-      const auto& elems = part.set().elems;
-      acc.insert(acc.end(), elems.begin(), elems.end());
-    }
-    return Value::MakeSet(std::move(acc));
+    return DriveLoop(f, binder_slot_, view, out, [body](Frame* fr, SetBuilder* acc) {
+      return body->Emit(fr, acc);
+    });
   }
 
  private:
+  // kNarrowed: the view holds exactly the elements the guard admits, and
+  // the loop runs the guarded branch only. kScan: the guard cannot be
+  // used on this source or outer value; the loop runs the full body over
+  // every element. kBottom: the outer term is ⊥, which the scan would
+  // have hit at the first element.
+  enum class Narrowing { kNarrowed, kScan, kBottom };
+
+  // Evaluates O, once. The scan would evaluate it at the first element,
+  // after a key or binder that cannot fail, so its ⊥ or error is the one
+  // the scan reports.
+  Result<Narrowing> Outer(Frame* f, Value* o) const {
+    AQL_ASSIGN_OR_RETURN(*o, guard_.outer->Run(f));
+    if (o->is_bottom()) return Narrowing::kBottom;
+    return Orderly(*o) ? Narrowing::kNarrowed : Narrowing::kScan;
+  }
+
+  Result<Narrowing> NarrowToRange(Frame* f, const Value& src, LoopView* view) const {
+    if (view->elems != nullptr) {
+      ProbeMemo* memo = MemoFor(f, this, src);
+      if (memo->visits++ == 0) {
+        memo->usable = std::all_of(view->elems->begin(), view->elems->end(),
+                                   [](const Value& x) { return Orderly(x); });
+      }
+      if (!memo->usable) return Narrowing::kScan;
+    }
+    Value o;
+    AQL_ASSIGN_OR_RETURN(Narrowing n, Outer(f, &o));
+    if (n != Narrowing::kNarrowed) return n;
+    // The view is the whole source here (lo == 0). First position whose
+    // element is >= o (upper: > o).
+    auto bound = [&](bool upper) {
+      uint64_t lo = 0, hi = view->size();
+      while (lo < hi) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        const int c = Value::Compare(view->At(mid), o);
+        if (upper ? c <= 0 : c < 0) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      return lo;
+    };
+    uint64_t lo = 0, hi = view->size();
+    switch (guard_.op) {
+      case CmpOp::kLt: hi = bound(false); break;
+      case CmpOp::kLe: hi = bound(true); break;
+      case CmpOp::kGt: lo = bound(true); break;
+      case CmpOp::kGe: lo = bound(false); break;
+      case CmpOp::kEq:
+        lo = bound(false);
+        hi = bound(true);
+        break;
+      case CmpOp::kNe: return Narrowing::kScan;  // not admitted at compile time
+    }
+    view->lo = lo;
+    view->hi = hi;
+    GlobalExecStats().set_ranges.fetch_add(1, std::memory_order_relaxed);
+    return Narrowing::kNarrowed;
+  }
+
+  Result<Narrowing> NarrowByProbe(Frame* f, const Value& src, LoopView* view) const {
+    std::shared_ptr<const ProbeIndex> index;
+    {
+      ProbeMemo* memo = MemoFor(f, this, src);
+      if (!memo->usable) return Narrowing::kScan;
+      // A source probed once is cheaper to scan than to index.
+      if (memo->index == nullptr && memo->visits++ == 0) return Narrowing::kScan;
+      if (memo->index == nullptr) {
+        AQL_ASSIGN_OR_RETURN(memo->index, BuildIndex(*view->elems));
+        if (memo->index == nullptr) {
+          memo->usable = false;
+          return Narrowing::kScan;
+        }
+      }
+      index = memo->index;  // O may run loops that grow f->probes
+    }
+    Value o;
+    AQL_ASSIGN_OR_RETURN(Narrowing n, Outer(f, &o));
+    if (n != Narrowing::kNarrowed) return n;
+    const uint64_t h = HashValue(o);
+    auto it = std::lower_bound(index->by_hash.begin(), index->by_hash.end(),
+                               std::pair<uint64_t, uint32_t>{h, 0});
+    view->probed = true;
+    for (; it != index->by_hash.end() && it->first == h; ++it) {
+      if (Value::Compare(*index->keys[it->second], o) == 0) view->picks.push_back(it->second);
+    }
+    GlobalExecStats().set_probes.fetch_add(1, std::memory_order_relaxed);
+    return Narrowing::kNarrowed;
+  }
+
+  // Null when some element's key is missing or not Orderly: the scan then
+  // meets that element exactly as the tree walker does.
+  Result<std::shared_ptr<const ProbeIndex>> BuildIndex(const std::vector<Value>& xs) const {
+    if (xs.size() > UINT32_MAX) return std::shared_ptr<const ProbeIndex>();
+    auto index = std::make_shared<ProbeIndex>();
+    index->keys.reserve(xs.size());
+    index->by_hash.reserve(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i) {
+      if ((i & 0x3FF) == 0) AQL_RETURN_IF_ERROR(CheckInterrupt());
+      const Value* key = guard_.KeyOf(xs[i]);
+      if (key == nullptr || !Orderly(*key)) return std::shared_ptr<const ProbeIndex>();
+      index->keys.push_back(key);
+      index->by_hash.emplace_back(HashValue(*key), static_cast<uint32_t>(i));
+    }
+    std::sort(index->by_hash.begin(), index->by_hash.end());
+    return std::shared_ptr<const ProbeIndex>(std::move(index));
+  }
+
   size_t binder_slot_;
-  NodePtr body_, source_;
+  NodePtr body_;
+  LoopSource source_;
+  LoopGuard guard_;
 };
 
 class GetNode : public Node {
@@ -309,6 +733,11 @@ class IfNode : public Node {
     AQL_ASSIGN_OR_RETURN(Value c, cond_->Run(f));
     if (c.is_bottom()) return Value::Bottom();
     return (c.bool_value() ? then_ : else_)->Run(f);
+  }
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override {
+    AQL_ASSIGN_OR_RETURN(Value c, cond_->Run(f));
+    if (c.is_bottom()) return false;
+    return (c.bool_value() ? then_ : else_)->Emit(f, out);
   }
 
  private:
@@ -503,70 +932,32 @@ std::unique_ptr<const SumPushdown> TryMatchSumPushdown(const ExprPtr& e,
 
 class SumNode : public Node {
  public:
-  SumNode(size_t binder_slot, NodePtr body, NodePtr source,
+  SumNode(size_t binder_slot, NodePtr body, LoopSource source,
           std::unique_ptr<const SumPushdown> pushdown = nullptr)
       : binder_slot_(binder_slot),
         body_(std::move(body)),
         source_(std::move(source)),
         pushdown_(std::move(pushdown)) {}
   Result<Value> Run(Frame* f) const override {
-    if (pushdown_ != nullptr && EnvU64("AQL_EXEC_PUSHDOWN", 1) != 0) {
-      return RunPruned();
-    }
-    AQL_ASSIGN_OR_RETURN(Value src, source_->Run(f));
-    if (src.is_bottom()) return Value::Bottom();
-    const std::vector<Value>& xs = src.set().elems;
-    uint64_t nat_total = 0;
-    double real_total = 0;
-    bool is_real = false, first = true;
-    if (ShouldParallelize(xs.size())) {
-      // Bodies evaluate in parallel; the fold below runs left-to-right on
-      // one thread so real addition rounds exactly as it does sequentially.
-      AQL_ASSIGN_OR_RETURN(LoopParts lp,
-                           EvalBodyParallel(*f, binder_slot_, body_.get(), xs));
-      for (uint64_t i = 0; i < xs.size(); ++i) {
-        if (i == lp.terminal) {
-          if (lp.terminal_is_bottom) return Value::Bottom();
-          return lp.terminal_status;
-        }
-        AQL_RETURN_IF_ERROR(
-            Accumulate(lp.parts[i], &nat_total, &real_total, &is_real, &first));
-      }
-      if (first) return Value::Nat(0);
-      return is_real ? Value::Real(real_total) : Value::Nat(nat_total);
-    }
-    for (const Value& x : xs) {
-      AQL_RETURN_IF_ERROR(CheckInterrupt());
-      f->slots[binder_slot_] = x;
-      AQL_ASSIGN_OR_RETURN(Value part, body_->Run(f));
-      if (part.is_bottom()) return Value::Bottom();
-      AQL_RETURN_IF_ERROR(Accumulate(part, &nat_total, &real_total, &is_real, &first));
-    }
-    if (first) return Value::Nat(0);
-    return is_real ? Value::Real(real_total) : Value::Nat(nat_total);
+    if (pushdown_ != nullptr && f->knobs.pushdown) return RunPruned();
+    Value src;
+    LoopView view;
+    AQL_ASSIGN_OR_RETURN(bool defined, source_.Open(f, &src, &view));
+    if (!defined) return Value::Bottom();
+    SumFold fold;
+    AQL_ASSIGN_OR_RETURN(
+        defined, DriveLoop(f, binder_slot_, view, &fold,
+                           [this](Frame* fr, SumFold* acc) -> Result<bool> {
+                             AQL_ASSIGN_OR_RETURN(Value part, body_->Run(fr));
+                             if (part.is_bottom()) return false;
+                             AQL_RETURN_IF_ERROR(acc->Add(std::move(part)));
+                             return true;
+                           }));
+    if (!defined) return Value::Bottom();
+    return fold.Total();
   }
 
  private:
-  static Status Accumulate(const Value& part, uint64_t* nat_total, double* real_total,
-                           bool* is_real, bool* first) {
-    if (*first) {
-      *is_real = part.kind() == ValueKind::kReal;
-      *first = false;
-    }
-    if (*is_real) {
-      if (part.kind() != ValueKind::kReal) {
-        return Status::EvalError("Sum body mixed nat and real");
-      }
-      *real_total += part.real_value();
-    } else {
-      if (part.kind() != ValueKind::kNat) {
-        return Status::EvalError("Sum body must be nat or real");
-      }
-      *nat_total += part.nat_value();
-    }
-    return Status::OK();
-  }
-
   // The pruned fold: row-by-row over the leading dimension, consulting the
   // slab's zone maps first. Mirrors the generic nest exactly — each leading
   // row contributes its own inner left-to-right fold, and rows accumulate
@@ -630,7 +1021,8 @@ class SumNode : public Node {
   }
 
   size_t binder_slot_;
-  NodePtr body_, source_;
+  NodePtr body_;
+  LoopSource source_;
   std::unique_ptr<const SumPushdown> pushdown_;
 };
 
@@ -752,8 +1144,7 @@ class TabNode : public Node {
     // an out-of-range region must fall through so each out-of-bounds
     // point keeps its ⊥ hole (bit-identical to the generic path; in-range
     // elements are decoded by the very same tile reads either way).
-    if (pushdown_ != nullptr && total <= kUnboxedAllocLimit &&
-        EnvU64("AQL_EXEC_PUSHDOWN", 1) != 0) {
+    if (pushdown_ != nullptr && total <= kUnboxedAllocLimit && f->knobs.pushdown) {
       const ArrayRep& base = pushdown_->base.array();
       bool fits = base.dims.size() == k;
       bool unit = true;
@@ -792,18 +1183,20 @@ class TabNode : public Node {
     // point aborts the kernel and re-runs generically (the partial array
     // keeps per-point ⊥ holes, which the unboxed payloads cannot hold).
     // When instantiation discharges every ⊥ source statically, the loop
-    // drops the per-cell checks entirely (re-read the kill switch per run
-    // so tests and benchmarks can toggle it in-process).
+    // drops the per-cell checks entirely (the kill switch is read once per
+    // run, so tests and benchmarks can toggle it in-process).
     if (kernel_spec_ != nullptr && total <= kUnboxedAllocLimit) {
       if (std::unique_ptr<Kernel> kernel = Kernel::Instantiate(*kernel_spec_, *f)) {
-        if (kernel->unchecked() && EnvU64("AQL_EXEC_UNCHECKED", 1) != 0) {
-          AQL_ASSIGN_OR_RETURN(Value arr, RunKernelUnchecked(*kernel, dims, total));
+        if (kernel->unchecked() && f->knobs.unchecked) {
+          AQL_ASSIGN_OR_RETURN(Value arr,
+                               RunKernelUnchecked(*kernel, dims, total, f->knobs.par));
           GlobalExecStats().unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
           GlobalExecStats().unchecked_kernels.fetch_add(1, std::memory_order_relaxed);
           return arr;
         }
         bool bottom_seen = false;
-        AQL_ASSIGN_OR_RETURN(Value arr, RunKernel(*kernel, dims, total, &bottom_seen));
+        AQL_ASSIGN_OR_RETURN(Value arr,
+                             RunKernel(*kernel, dims, total, f->knobs.par, &bottom_seen));
         if (!bottom_seen) {
           GlobalExecStats().unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
           return arr;
@@ -813,7 +1206,7 @@ class TabNode : public Node {
 
     // Generic parallel: chunked body interpretation over private frames,
     // elements written straight into their row-major slots.
-    if (ShouldParallelize(total) && total <= kBoxedAllocLimit) {
+    if (f->knobs.par.ShouldParallelize(total) && total <= kBoxedAllocLimit) {
       std::vector<Value> elems(total);
       Status ps = ParallelFor(total, [&](uint64_t begin, uint64_t end) -> Status {
         Frame local = *f;
@@ -828,7 +1221,7 @@ class TabNode : public Node {
           IncrementIndex(index, dims);
         }
         return Status::OK();
-      });
+      }, f->knobs.par);
       AQL_RETURN_IF_ERROR(ps);
       return Finish(std::move(dims), std::move(elems));
     }
@@ -915,7 +1308,7 @@ class TabNode : public Node {
 
   template <typename T, typename EvalFn>
   static Result<Value> KernelLoop(const std::vector<uint64_t>& dims, uint64_t total,
-                                  bool* bottom_seen, EvalFn&& eval,
+                                  const ParConfig& par, bool* bottom_seen, EvalFn&& eval,
                                   Result<Value> (*make)(std::vector<uint64_t>,
                                                         std::vector<T>)) {
     std::vector<T> buf(total);
@@ -934,7 +1327,7 @@ class TabNode : public Node {
         IncrementIndex(index, dims);
       }
       return Status::OK();
-    });
+    }, par);
     AQL_RETURN_IF_ERROR(ps);
     if (bottom.load(std::memory_order_relaxed)) {
       *bottom_seen = true;
@@ -950,7 +1343,7 @@ class TabNode : public Node {
   // body, store. Interrupt polling stays (deadlines must still bite).
   template <typename T, typename EvalFn>
   static Result<Value> KernelLoopU(const std::vector<uint64_t>& dims, uint64_t total,
-                                   EvalFn&& eval,
+                                   const ParConfig& par, EvalFn&& eval,
                                    Result<Value> (*make)(std::vector<uint64_t>,
                                                          std::vector<T>)) {
     std::vector<T> buf(total);
@@ -962,7 +1355,7 @@ class TabNode : public Node {
         IncrementIndex(index, dims);
       }
       return Status::OK();
-    });
+    }, par);
     AQL_RETURN_IF_ERROR(ps);
     auto arr = make(dims, std::move(buf));
     if (!arr.ok()) return Status::Internal(arr.status().message());
@@ -971,21 +1364,21 @@ class TabNode : public Node {
 
   static Result<Value> RunKernelUnchecked(const Kernel& kernel,
                                           const std::vector<uint64_t>& dims,
-                                          uint64_t total) {
+                                          uint64_t total, const ParConfig& par) {
     switch (kernel.result_type()) {
       case Kernel::Type::kNat:
         return KernelLoopU<uint64_t>(
-            dims, total,
+            dims, total, par,
             [&kernel](const uint64_t* idx) { return kernel.EvalNatUnchecked(idx); },
             &Value::MakeNatArray);
       case Kernel::Type::kReal:
         return KernelLoopU<double>(
-            dims, total,
+            dims, total, par,
             [&kernel](const uint64_t* idx) { return kernel.EvalRealUnchecked(idx); },
             &Value::MakeRealArray);
       case Kernel::Type::kBool:
         return KernelLoopU<uint8_t>(
-            dims, total,
+            dims, total, par,
             [&kernel](const uint64_t* idx) { return kernel.EvalBoolUnchecked(idx); },
             &Value::MakeBoolArray);
     }
@@ -993,25 +1386,25 @@ class TabNode : public Node {
   }
 
   static Result<Value> RunKernel(const Kernel& kernel, const std::vector<uint64_t>& dims,
-                                 uint64_t total, bool* bottom_seen) {
+                                 uint64_t total, const ParConfig& par, bool* bottom_seen) {
     switch (kernel.result_type()) {
       case Kernel::Type::kNat:
         return KernelLoop<uint64_t>(
-            dims, total, bottom_seen,
+            dims, total, par, bottom_seen,
             [&kernel](const uint64_t* idx, uint64_t* out) {
               return kernel.EvalNat(idx, out);
             },
             &Value::MakeNatArray);
       case Kernel::Type::kReal:
         return KernelLoop<double>(
-            dims, total, bottom_seen,
+            dims, total, par, bottom_seen,
             [&kernel](const uint64_t* idx, double* out) {
               return kernel.EvalReal(idx, out);
             },
             &Value::MakeRealArray);
       case Kernel::Type::kBool:
         return KernelLoop<uint8_t>(
-            dims, total, bottom_seen,
+            dims, total, par, bottom_seen,
             [&kernel](const uint64_t* idx, uint8_t* out) {
               return kernel.EvalBool(idx, out);
             },
@@ -1109,11 +1502,14 @@ class IndexNode : public Node {
       } else if (!ExtractIndexValue(key, &idx) || idx.size() != rank_) {
         return Status::EvalError("bad index key shape");
       }
-      for (size_t j = 0; j < rank_; ++j) dims[j] = std::max(dims[j], idx[j] + 1);
+      for (size_t j = 0; j < rank_; ++j) {
+        // The extent is key + 1, so the largest nat has no extent.
+        if (idx[j] == UINT64_MAX) return Status::EvalError("index key overflows the extent");
+        dims[j] = std::max(dims[j], idx[j] + 1);
+      }
       entries.emplace_back(std::move(idx), &pair.tuple_fields()[1]);
     }
-    uint64_t total = 1;
-    for (uint64_t d : dims) total *= d;
+    AQL_ASSIGN_OR_RETURN(uint64_t total, CheckedVolume(dims));
     std::vector<std::vector<Value>> buckets(total);
     ArrayRep shape{dims, {}};
     for (auto& [idx, value] : entries) buckets[shape.Flatten(idx)].push_back(*value);
@@ -1193,18 +1589,25 @@ class Compiler {
 
   Result<Program> CompileProgram(const ExprPtr& e, const std::vector<std::string>& params) {
     scope_ = params;
+    loop_bound_.assign(params.size(), false);
     high_water_ = params.size();
     AQL_ASSIGN_OR_RETURN(NodePtr root, CompileNode(e));
     return Program(std::move(root), high_water_, std::move(proof_));
   }
 
  private:
-  size_t Push(const std::string& name) {
+  // `loop`: the slot is a loop binder (big union, sum, tabulation), which
+  // changes per iteration; other slots hold one value per activation.
+  size_t Push(const std::string& name, bool loop = false) {
     scope_.push_back(name);
+    loop_bound_.push_back(loop);
     high_water_ = std::max(high_water_, scope_.size());
     return scope_.size() - 1;
   }
-  void Pop(size_t n = 1) { scope_.resize(scope_.size() - n); }
+  void Pop(size_t n = 1) {
+    scope_.resize(scope_.size() - n);
+    loop_bound_.resize(scope_.size());
+  }
 
   Result<size_t> Lookup(const std::string& name) const {
     for (size_t i = scope_.size(); i-- > 0;) {
@@ -1260,6 +1663,114 @@ class Compiler {
     return NodePtr(new FoldedDenseNode(std::move(arr).value()));
   }
 
+  // A comprehension source: `gen(n)` becomes a counted loop over n.
+  Result<LoopSource> CompileLoopSource(const ExprPtr& src) {
+    LoopSource source;
+    source.counted = src->is(ExprKind::kGen);
+    AQL_ASSIGN_OR_RETURN(source.node, CompileNode(source.counted ? src->child(0) : src));
+    return source;
+  }
+
+  // True when `src` is the same set on every iteration of the enclosing
+  // loops of this activation: a literal, or a variable that no loop binds.
+  bool LoopInvariant(const ExprPtr& src) const {
+    if (src->is(ExprKind::kLiteral)) return true;
+    if (!src->is(ExprKind::kVar)) return false;
+    Result<size_t> slot = Lookup(src->var_name());
+    return slot.ok() && !loop_bound_[*slot];
+  }
+
+  // K(x): one or more projections applied to the variable x. Fills the
+  // path innermost projection first.
+  static bool KeyPath(const ExprPtr& k, const std::string& x,
+                      std::vector<std::pair<size_t, size_t>>* path) {
+    std::vector<std::pair<size_t, size_t>> rev;
+    const Expr* cur = k.get();
+    while (cur->is(ExprKind::kProj)) {
+      rev.emplace_back(cur->proj_index(), cur->proj_arity());
+      cur = cur->child(0).get();
+    }
+    if (rev.empty() || !cur->is(ExprKind::kVar) || cur->var_name() != x) return false;
+    path->assign(rev.rbegin(), rev.rend());
+    return true;
+  }
+
+  static CmpOp Flip(CmpOp op) {
+    switch (op) {
+      case CmpOp::kLt: return CmpOp::kGt;
+      case CmpOp::kLe: return CmpOp::kGe;
+      case CmpOp::kGt: return CmpOp::kLt;
+      case CmpOp::kGe: return CmpOp::kLe;
+      default: return op;
+    }
+  }
+
+  // Compiles the body of big union `e` (binder already pushed). A body
+  // `if C then B else {}` whose guard C has a LoopGuard shape compiles
+  // piecewise, so the loop can run B alone over the admitted elements and
+  // still run the whole body when it has to scan; the admission is
+  // recorded in the proof certificate.
+  Result<NodePtr> CompileUnionBody(const ExprPtr& e, bool counted, bool invariant,
+                                   LoopGuard* guard) {
+    const ExprPtr& body = e->child(0);
+    const std::string& x = e->binder();
+    if (!body->is(ExprKind::kIf) || !body->child(2)->is(ExprKind::kEmptySet) ||
+        !body->child(0)->is(ExprKind::kCmp) || body->child(0)->cmp_op() == CmpOp::kNe) {
+      return CompileNode(body);
+    }
+    const ExprPtr& cond = body->child(0);
+    const ExprPtr& a = cond->child(0);
+    const ExprPtr& b = cond->child(1);
+    auto free_of_x = [&x](const ExprPtr& t) { return FreeVars(t).count(x) == 0; };
+    auto is_x = [&x](const ExprPtr& t) { return t->is(ExprKind::kVar) && t->var_name() == x; };
+    LoopGuard g;
+    bool binder_left = true;
+    if (is_x(a) && free_of_x(b)) {
+      g.kind = LoopGuard::Kind::kRange;
+      g.op = cond->cmp_op();
+    } else if (is_x(b) && free_of_x(a)) {
+      g.kind = LoopGuard::Kind::kRange;
+      g.op = Flip(cond->cmp_op());
+      binder_left = false;
+    } else if (cond->cmp_op() == CmpOp::kEq && !counted && invariant) {
+      if (KeyPath(a, x, &g.key_path) && free_of_x(b)) {
+        g.kind = LoopGuard::Kind::kProbe;
+      } else if (KeyPath(b, x, &g.key_path) && free_of_x(a)) {
+        g.kind = LoopGuard::Kind::kProbe;
+        binder_left = false;
+      }
+    }
+    if (g.kind == LoopGuard::Kind::kNone) return CompileNode(body);
+
+    AQL_ASSIGN_OR_RETURN(NodePtr ca, CompileNode(a));
+    AQL_ASSIGN_OR_RETURN(NodePtr cb, CompileNode(b));
+    AQL_ASSIGN_OR_RETURN(NodePtr then_n, CompileNode(body->child(1)));
+    AQL_ASSIGN_OR_RETURN(NodePtr else_n, CompileNode(body->child(2)));
+    g.outer = binder_left ? cb.get() : ca.get();
+    g.then = then_n.get();
+
+    const std::string key = analysis::RenderArrayExpr(binder_left ? a : b);
+    const std::string outer = analysis::RenderArrayExpr(binder_left ? b : a);
+    const std::string src = analysis::RenderArrayExpr(e->child(1));
+    const std::string guard_text = StrCat("guard ", analysis::RenderArrayExpr(cond));
+    const std::string outer_fact = StrCat(outer, " does not mention ", x,
+                                          ": evaluated once per visit");
+    const std::string site = StrCat("U{ ... | ", x, " in ", src, " }");
+    if (g.kind == LoopGuard::Kind::kProbe) {
+      proof_.Add("hash-probe", site,
+                 {StrCat(guard_text, ": key ", key, " is a projection path of ", x), outer_fact,
+                  StrCat("source ", src, " is loop-invariant: hash-indexed once per run")});
+    } else {
+      proof_.Add("range-probe", site,
+                 {StrCat(guard_text, ": ", x, " compared with ", outer), outer_fact,
+                  "source ascends under <_t: the admitted elements are one contiguous "
+                  "range, found by binary search"});
+    }
+    *guard = std::move(g);
+    return NodePtr(new IfNode(NodePtr(new CmpNode(cond->cmp_op(), std::move(ca), std::move(cb))),
+                              std::move(then_n), std::move(else_n)));
+  }
+
   Result<NodePtr> CompileNode(const ExprPtr& e) {
     switch (e->kind()) {
       case ExprKind::kVar: {
@@ -1297,12 +1808,15 @@ class Compiler {
         return NodePtr(new UnionNode(std::move(a), std::move(b)));
       }
       case ExprKind::kBigUnion: {
-        AQL_ASSIGN_OR_RETURN(NodePtr src, CompileNode(e->child(1)));
-        size_t slot = Push(e->binder());
-        auto body = CompileNode(e->child(0));
+        const bool invariant = LoopInvariant(e->child(1));
+        AQL_ASSIGN_OR_RETURN(LoopSource src, CompileLoopSource(e->child(1)));
+        size_t slot = Push(e->binder(), /*loop=*/true);
+        LoopGuard guard;
+        auto body = CompileUnionBody(e, src.counted, invariant, &guard);
         Pop();
         AQL_RETURN_IF_ERROR(body.status());
-        return NodePtr(new BigUnionNode(slot, std::move(body).value(), std::move(src)));
+        return NodePtr(new BigUnionNode(slot, std::move(body).value(), std::move(src),
+                                        std::move(guard)));
       }
       case ExprKind::kGet: {
         AQL_ASSIGN_OR_RETURN(NodePtr inner, CompileNode(e->child(0)));
@@ -1337,8 +1851,8 @@ class Compiler {
         return NodePtr(new GenNode(std::move(inner)));
       }
       case ExprKind::kSum: {
-        AQL_ASSIGN_OR_RETURN(NodePtr src, CompileNode(e->child(1)));
-        size_t slot = Push(e->binder());
+        AQL_ASSIGN_OR_RETURN(LoopSource src, CompileLoopSource(e->child(1)));
+        size_t slot = Push(e->binder(), /*loop=*/true);
         auto body = CompileNode(e->child(0));
         Pop();
         AQL_RETURN_IF_ERROR(body.status());
@@ -1352,7 +1866,7 @@ class Compiler {
           bounds.push_back(std::move(b));
         }
         std::vector<size_t> slots;
-        for (const std::string& v : e->binders()) slots.push_back(Push(v));
+        for (const std::string& v : e->binders()) slots.push_back(Push(v, /*loop=*/true));
         auto body = CompileNode(e->tab_body());
         std::unique_ptr<KernelSpec> spec;
         if (body.ok()) {
@@ -1426,6 +1940,7 @@ class Compiler {
     Compiler inner(externals_);
     inner.scope_ = std::move(inner_scope);
     inner.scope_.push_back(e->binder());
+    inner.loop_bound_.assign(inner.scope_.size(), false);
     inner.high_water_ = inner.scope_.size();
     AQL_ASSIGN_OR_RETURN(NodePtr body, inner.CompileNode(e->child(0)));
     // Proof entries produced inside the lambda body belong to the whole
@@ -1439,15 +1954,25 @@ class Compiler {
 
   const ExternalResolver& externals_;
   std::vector<std::string> scope_;
+  std::vector<bool> loop_bound_;  // parallel to scope_
   size_t high_water_ = 0;
   analysis::Proof proof_;
 };
 
 }  // namespace
 
+ExecKnobs ExecKnobs::FromEnv() {
+  ExecKnobs knobs;
+  knobs.par = ParConfig::FromEnv();
+  knobs.pushdown = EnvU64("AQL_EXEC_PUSHDOWN", 1) != 0;
+  knobs.unchecked = EnvU64("AQL_EXEC_UNCHECKED", 1) != 0;
+  return knobs;
+}
+
 Result<Value> Program::Run(std::vector<Value> args) const {
   obs::Span span("exec", "exec.run");
   Frame frame;
+  frame.knobs = ExecKnobs::FromEnv();
   frame.slots.resize(frame_size_);
   for (size_t i = 0; i < args.size() && i < frame.slots.size(); ++i) {
     frame.slots[i] = std::move(args[i]);

@@ -19,6 +19,13 @@
 // canonical sets); exec_test cross-checks the two on random programs, and
 // bench_exec measures the speedup.
 //
+// Set comprehensions run as pipelines (docs/EXEC.md, "Set pipelines"):
+// a big union's body appends its elements straight into one SetBuilder
+// per comprehension, `x in gen(n)` runs as a counted loop, and a body
+// guarded by an equality on a key of the binder, or by a comparison of the
+// binder itself, visits only the elements a hash probe or a binary-searched
+// range admits.
+//
 // Like the evaluator, loop constructs poll base/cancel.h's CheckInterrupt(),
 // so a Program::Run under an ExecScope respects deadlines/cancellation.
 // A compiled Program is immutable and safe to Run() from many threads
@@ -36,21 +43,64 @@
 #include "analysis/affine.h"
 #include "base/result.h"
 #include "core/expr.h"
+#include "exec/parallel.h"
 #include "object/value.h"
 
 namespace aql {
 namespace exec {
 
+// The exec knobs, read from the environment once per Program::Run and
+// carried by every frame of that run (closures copy them from the frame
+// that created them).
+struct ExecKnobs {
+  ParConfig par;           // AQL_EXEC_THREADS, AQL_EXEC_PAR_THRESHOLD
+  bool pushdown = true;    // AQL_EXEC_PUSHDOWN (0 disables tile pushdowns)
+  bool unchecked = true;   // AQL_EXEC_UNCHECKED (0 disables unchecked kernels)
+
+  static ExecKnobs FromEnv();
+};
+
+struct ProbeIndex;  // a hash index of one probed source (compiled.cc)
+
+// What one probing loop remembers about the source set it last saw: the
+// set (kept alive, so its identity cannot be recycled), how often it was
+// visited, whether the probe can serve it, and the hash index built for it
+// on the second visit.
+struct ProbeMemo {
+  ProbeMemo(const void* site_in, Value source_in)
+      : site(site_in), source(std::move(source_in)) {}
+
+  const void* site;  // the probing loop node
+  Value source;
+  uint64_t visits = 0;
+  bool usable = true;  // false: some element defeats the probe; scan instead
+  std::shared_ptr<const ProbeIndex> index;
+};
+
 // Mutable register file for one activation.
 struct Frame {
   std::vector<Value> slots;
+  ExecKnobs knobs;
+  // Per-activation probe memos. Worker frames of a parallel loop start
+  // from a copy; built indexes are immutable, so only shared_ptr copies
+  // cross threads.
+  std::vector<ProbeMemo> probes;
 };
+
+// Accumulates the elements of one set comprehension and canonicalizes
+// them once at the end (compiled.cc).
+class SetBuilder;
 
 // A compiled expression node.
 class Node {
  public:
   virtual ~Node() = default;
   virtual Result<Value> Run(Frame* frame) const = 0;
+  // Appends the elements of this set-valued node to `out` instead of
+  // materializing a set. Returns false when the node is ⊥ (the partial
+  // contents of `out` are then meaningless). The default runs the node
+  // and appends the resulting set.
+  virtual Result<bool> Emit(Frame* frame, SetBuilder* out) const;
 };
 
 using NodePtr = std::unique_ptr<const Node>;

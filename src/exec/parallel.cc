@@ -100,15 +100,13 @@ uint64_t ParThreshold() {
   return std::max<uint64_t>(t, 1);
 }
 
-bool ShouldParallelize(uint64_t total) {
-  return ExecThreads() > 1 && total >= ParThreshold();
-}
+ParConfig ParConfig::FromEnv() { return ParConfig{ExecThreads(), ParThreshold()}; }
 
-Status ParallelFor(uint64_t total,
-                   const std::function<Status(uint64_t, uint64_t)>& fn) {
+Status ParallelFor(uint64_t total, const std::function<Status(uint64_t, uint64_t)>& fn,
+                   const ParConfig& config) {
   if (total == 0) return Status::OK();
-  int threads = ExecThreads();
-  if (threads <= 1 || total < ParThreshold()) return fn(0, total);
+  const int threads = config.threads;
+  if (!config.ShouldParallelize(total)) return fn(0, total);
 
   obs::Span span("exec", "exec.parallel_for");
   span.AddCount("elems", total);

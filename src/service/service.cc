@@ -320,6 +320,9 @@ void QueryService::SyncExecStats() const {
   sync(exec_unboxed_arrays_, stats.unboxed_arrays);
   sync(exec_unchecked_kernels_, stats.unchecked_kernels);
   sync(metrics_.GetCounter("exec.tab.pushdowns"), stats.tab_pushdowns);
+  sync(metrics_.GetCounter("exec.set.probes"), stats.set_probes);
+  sync(metrics_.GetCounter("exec.set.ranges"), stats.set_ranges);
+  sync(metrics_.GetCounter("exec.set.sorts_skipped"), stats.sorts_skipped);
 
   // Same delta treatment for the per-mutex contention counters
   // (base/sync.h). Names arrive dotted-lowercase, so they pass

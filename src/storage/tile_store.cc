@@ -137,9 +137,8 @@ class TiledSlab : public LazyRealSlab {
       }
       return Status::OK();
     };
-    if (exec::ShouldParallelize(volume)) {
-      return exec::ParallelFor(count[0], rows);
-    }
+    const exec::ParConfig par = exec::ParConfig::FromEnv();
+    if (par.ShouldParallelize(volume)) return exec::ParallelFor(count[0], rows, par);
     return rows(0, count[0]);
   }
 

@@ -1,7 +1,8 @@
 // Grammar-directed generator for closed, well-typed core expressions,
 // shared by the property tests (optimizer soundness, expression hashing).
 // Shapes: nat expressions, bool expressions, {nat} sets, and [[nat]]_1
-// arrays, with nat variables bound by Sum / BigUnion / Tab binders.
+// arrays, with nat variables bound by Sum / BigUnion / Tab binders. Big
+// union bodies are sometimes guarded by a comparison of their binder.
 
 #ifndef AQL_TESTS_EXPR_GEN_H_
 #define AQL_TESTS_EXPR_GEN_H_
@@ -72,7 +73,7 @@ class ExprGen {
       case 3: {
         ExprPtr src = Set(depth - 1);  // source sees the OUTER scope
         std::string v = Push();
-        ExprPtr body = Set(depth - 1);
+        ExprPtr body = rng_() % 3 == 0 ? Guarded(v, depth - 1) : Set(depth - 1);
         Pop();
         return Expr::BigUnion(v, std::move(body), std::move(src));
       }
@@ -81,6 +82,15 @@ class ExprGen {
       default:
         return Expr::If(Bool(depth - 1), Set(depth - 1), Set(depth - 1));
     }
+  }
+
+  // `if v op e then S else {}` (or `e op v`): the guard shape the compiled
+  // backend turns into a sorted-range probe when e does not mention v.
+  ExprPtr Guarded(const std::string& v, int depth) {
+    ExprPtr e = Nat(depth);
+    ExprPtr cond = rng_() % 2 == 0 ? Expr::Cmp(RandCmp(), Expr::Var(v), std::move(e))
+                                   : Expr::Cmp(RandCmp(), std::move(e), Expr::Var(v));
+    return Expr::If(std::move(cond), Set(depth), Expr::EmptySet());
   }
 
   ExprPtr Arr(int depth) {

@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 #include "io/drivers.h"
 #include "netcdf/writer.h"
+#include "service/service.h"
 #include "test_util.h"
 
 namespace aql {
@@ -109,6 +110,40 @@ TEST(Robustness, LargeCanonicalSetsStayConsistent) {
   Value v = testing::EvalOrDie(&sys, "card!({ (x * 7919) % 20011 | \\x <- gen!20000 })");
   ASSERT_EQ(v.kind(), ValueKind::kNat);
   EXPECT_GT(v.nat_value(), 19000u) << "7919 is coprime to 20011";
+}
+
+// index's extent is max key + 1: the largest nat has none (key + 1
+// wrapped the extent to 0 and the bucket write ran out of bounds), and a
+// key past the element cap is a typed error, not a giant bucket allocation
+// (which aborted the process with std::bad_alloc).
+constexpr const char* kHugeIndexQueries[] = {
+    "index!{(18446744073709551615, 1)}",
+    "index!{(1099511627776, 1)}",
+    "index!{(2, 5), (18446744073709551615, 1)}",
+};
+
+TEST(Robustness, HugeIndexKeysAreTypedErrorsInBothBackends) {
+  System sys;
+  for (const char* q : kHugeIndexQueries) {
+    auto plan = sys.Compile(q);
+    ASSERT_TRUE(plan.ok()) << q << ": " << plan.status().ToString();
+    auto tree = sys.EvalCore(*plan);
+    auto fast = sys.EvalCoreCompiled(*plan);
+    EXPECT_EQ(tree.status().code(), StatusCode::kEvalError) << q << ": " << tree.status().ToString();
+    EXPECT_EQ(fast.status().code(), StatusCode::kEvalError) << q << ": " << fast.status().ToString();
+  }
+}
+
+TEST(Robustness, HugeIndexKeysLeaveTheServiceServing) {
+  System sys;
+  service::QueryService svc(&sys, {.num_workers = 1});
+  for (const char* q : kHugeIndexQueries) {
+    auto r = svc.Execute(q);
+    EXPECT_EQ(r.status().code(), StatusCode::kEvalError) << q << ": " << r.status().ToString();
+    auto next = svc.Execute("len!(index!{(3, 1), (1, 2)})");
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(next.value(), Value::Nat(4));
+  }
 }
 
 TEST(Robustness, OptimizerIsIdempotent) {
