@@ -630,15 +630,7 @@ AbsVal CoreDomains::Transfer(const ExprPtr& e, const std::vector<Val>& kids,
         k = 1;
       }
       if (k == 0) k = 1;
-      const ExprPtr& ie = e->child(1);
-      std::vector<ExprPtr> parts(k);
-      if (k == 1) {
-        parts[0] = ie;
-      } else if (ie->is(ExprKind::kTuple) && ie->children().size() == k) {
-        for (size_t j = 0; j < k; ++j) parts[j] = ie->child(j);
-      } else {
-        for (size_t j = 0; j < k; ++j) parts[j] = Expr::Proj(j + 1, k, ie);
-      }
+      std::vector<ExprPtr> parts = ProjectedIndexParts(e->child(1), k);
       bool all_proven = true;
       bool any_const_oob = false;
       for (size_t j = 0; j < k; ++j) {

@@ -527,20 +527,14 @@ AffineAbsVal AffineCoreDomains::Transfer(const ExprPtr& e,
       kids[1].core.def.whole == Definedness::kDefined) {
     const std::vector<Extent>& extents = kids[0].core.shape.extents;
     size_t k = extents.size();
-    const ExprPtr& ie = e->child(1);
-    std::vector<ExprPtr> parts;
-    if (k == 1) {
-      parts.push_back(ie);
-    } else if (ie->is(ExprKind::kTuple) && ie->children().size() == k) {
-      parts = ie->children();
-    }
-    bool all_proven = !parts.empty() && parts.size() == k;
+    std::optional<std::vector<ExprPtr>> parts = IndexParts(e->child(1), k);
+    bool all_proven = parts.has_value();
     for (size_t j = 0; all_proven && j < k; ++j) {
       if (extents[j].kind != Extent::Kind::kConst) {
         all_proven = false;
         break;
       }
-      AffineVal idx = AffineOf(parts[j], env);
+      AffineVal idx = AffineOf((*parts)[j], env);
       all_proven = idx.bounded && idx.hi < extents[j].value;
     }
     if (all_proven) out.core.def.whole = Definedness::kDefined;
@@ -582,72 +576,6 @@ bool AffineWidens(const AffineAbsVal& pre, const AffineAbsVal& post,
     }
   }
   return false;
-}
-
-// ---------- access summaries ----------
-
-std::optional<uint64_t> DimAccess::MaxIndex() const {
-  if (extent == 0) return std::nullopt;
-  uint64_t span, top;
-  if (!CheckedMul(stride, extent - 1, &span)) return std::nullopt;
-  if (!CheckedAdd(base, span, &top)) return std::nullopt;
-  return top;
-}
-
-std::string DimAccess::ToString() const {
-  if (binder.empty()) return std::to_string(base);
-  std::string s;
-  if (base != 0) s += std::to_string(base) + " + ";
-  if (stride != 1) s += std::to_string(stride) + "*";
-  s += binder + ", " + binder + " < " + std::to_string(extent);
-  if (align_modulus > 1) {
-    s += " (= " + std::to_string(align_residue) + " mod " +
-         std::to_string(align_modulus) + ")";
-  }
-  return s;
-}
-
-std::string AccessSummary::ToString() const {
-  std::string s = array + "[";
-  for (size_t j = 0; j < dims.size(); ++j) {
-    if (j != 0) s += "; ";
-    s += dims[j].ToString();
-  }
-  return s + "]";
-}
-
-std::optional<AccessSummary> SummarizeAccess(const ExprPtr& subscript,
-                                             const SymEnv& env) {
-  if (!subscript->is(ExprKind::kSubscript)) return std::nullopt;
-  const ExprPtr& ie = subscript->child(1);
-  std::vector<ExprPtr> parts;
-  if (ie->is(ExprKind::kTuple)) {
-    parts = ie->children();
-  } else {
-    parts.push_back(ie);
-  }
-  AccessSummary out;
-  out.array = RenderArrayExpr(subscript->child(0));
-  for (const ExprPtr& part : parts) {
-    AffineVal v = AffineOf(part, env);
-    DimAccess d;
-    if (v.IsConst()) {
-      d.base = v.c0;
-    } else if (v.affine && v.terms.size() == 1) {
-      const ExprPtr* ub = env.Lookup(v.terms[0].var);
-      if (ub == nullptr || !(*ub)->is(ExprKind::kNatConst)) return std::nullopt;
-      d.base = v.c0;
-      d.stride = v.terms[0].coeff;
-      d.extent = (*ub)->nat_const();
-      d.binder = v.terms[0].var;
-      d.align_modulus = d.stride;
-      d.align_residue = d.stride > 0 ? d.base % d.stride : 0;
-    } else {
-      return std::nullopt;
-    }
-    out.dims.push_back(std::move(d));
-  }
-  return out;
 }
 
 // ---------- syntactic single-binder matcher ----------
@@ -693,17 +621,44 @@ std::optional<Affine1D> MatchAffine1D(const ExprPtr& part) {
   return std::nullopt;
 }
 
+// ---------- the slab matcher ----------
+
+std::optional<SlabAccess> MatchSlab(const ExprPtr& subscript,
+                                    const std::vector<std::string>& binders) {
+  if (!subscript->is(ExprKind::kSubscript)) return std::nullopt;
+  const size_t k = binders.size();
+  std::optional<std::vector<ExprPtr>> parts = IndexParts(subscript->child(1), k);
+  if (!parts) return std::nullopt;
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      if (binders[i] == binders[j]) return std::nullopt;
+    }
+  }
+  SlabAccess slab;
+  slab.base = subscript->child(0);
+  for (size_t j = 0; j < k; ++j) {
+    std::optional<Affine1D> m = MatchAffine1D((*parts)[j]);
+    if (!m || m->binder != binders[j]) return std::nullopt;
+    slab.offset.push_back(m->offset);
+    slab.stride.push_back(m->stride);
+  }
+  for (const std::string& b : binders) {
+    if (OccursFree(slab.base, b)) return std::nullopt;
+  }
+  return slab;
+}
+
 // ---------- shard locality ----------
 
-std::optional<uint64_t> ShardLocal(const AccessSummary& summary,
+std::optional<uint64_t> ShardLocal(const SlabAccess& slab, uint64_t lead_extent,
                                    const PartitionSpec& spec) {
   if (spec.shard_count == 0 || spec.rows_per_shard == 0) return std::nullopt;
-  if (summary.dims.empty()) return std::nullopt;
-  const DimAccess& lead = summary.dims[0];
-  std::optional<uint64_t> hi = lead.MaxIndex();
-  if (!hi) return std::nullopt;
-  uint64_t first = lead.base / spec.rows_per_shard;
-  uint64_t last = *hi / spec.rows_per_shard;
+  if (slab.offset.empty() || lead_extent == 0) return std::nullopt;
+  uint64_t span, hi;
+  if (!CheckedMul(slab.stride[0], lead_extent - 1, &span)) return std::nullopt;
+  if (!CheckedAdd(slab.offset[0], span, &hi)) return std::nullopt;
+  uint64_t first = slab.offset[0] / spec.rows_per_shard;
+  uint64_t last = hi / spec.rows_per_shard;
   if (first != last || first >= spec.shard_count) return std::nullopt;
   return first;
 }

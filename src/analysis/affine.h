@@ -11,9 +11,10 @@
 // (`i*2 - i` is exactly `i`), exact division (`(i*4)/2` is `2·i`), and
 // stride/alignment facts (`2·i + 1` is odd) — which feed four consumers:
 //
-//   1. exec/compiled.cc — the subslab pushdown matcher generalizes from
-//      literal `i+lo` to any affine single-binder index (strides,
-//      commuted offsets, bare binders) and emits strided bulk reads;
+//   1. MatchSlab — the one subslab matcher, behind result-cache
+//      subsumption, the tab pushdown (strided bulk reads included), the
+//      sum-nest pushdown and eta^p — accepts any affine single-binder
+//      index (strides, commuted offsets, bare binders);
 //   2. the aggregate-pruning pass (SumNode) — zone-map facts skip tile
 //      reads when the affine access range proves coverage;
 //   3. exec/kernel.cc — affine in-bounds proofs admit UNCHECKED kernels
@@ -171,52 +172,16 @@ AffineAbsVal AnalyzeAffineAbs(const ExprPtr& e);
 bool AffineWidens(const AffineAbsVal& pre, const AffineAbsVal& post,
                   std::string* why);
 
-// ---------- access summaries ----------
-
-// Per-dimension access pattern of a subscript under loop binders: the
-// index is `base + stride·binder` with `binder` sweeping [0, extent), and
-// the touched coordinates are ≡ align_residue (mod align_modulus).
-// A constant index has stride 0, extent 1, empty binder.
-struct DimAccess {
-  uint64_t base = 0;
-  uint64_t stride = 0;
-  uint64_t extent = 1;
-  uint64_t align_modulus = 0;  // 0 = exact (constant index)
-  uint64_t align_residue = 0;
-  std::string binder;
-
-  // Highest coordinate touched: base + stride*(extent-1); nullopt on
-  // overflow or a zero-trip binder.
-  std::optional<uint64_t> MaxIndex() const;
-
-  std::string ToString() const;  // "8 + 2*i, i < 4 (≡ 0 mod 2)"
-};
-
-// Whole-subscript summary: one DimAccess per array dimension.
-struct AccessSummary {
-  std::string array;  // rendering of the subscripted array expression
-  std::vector<DimAccess> dims;
-
-  std::string ToString() const;
-};
-
-// Summarizes the subscript access of a tabulation body `[[ S[e1, ..., ek]
-// | i1 < b1, ... ]]` (or any binder environment `env` carrying the loop
-// bounds): each part must be single-binder affine with a constant-bounded
-// binder or a constant. nullopt when any part is relationally opaque.
-std::optional<AccessSummary> SummarizeAccess(const ExprPtr& subscript,
-                                             const SymEnv& env);
-
 // Compact rendering of an array operand for summaries and proof sites:
 // a variable prints as its name, a literal as "<array d1 d2 ...>" (never
 // its elements), anything else as a truncated term rendering.
 std::string RenderArrayExpr(const ExprPtr& arr);
 
-// ---------- syntactic single-binder matcher (pushdown fast path) ----------
+// ---------- syntactic single-binder matcher ----------
 
-// The shape the subslab pushdown compiles: offset + stride·binder, in any
-// commutation (`i`, `i+c`, `c+i`, `s*i`, `i*s`, and the `add(mul)` forms).
-// Purely syntactic — no SymEnv needed — so exec/compiled.cc can run it on
+// The per-part shape every slab access is built from: offset + stride·binder,
+// in any commutation (`i`, `i+c`, `c+i`, `s*i`, `i*s`, and the `add(mul)`
+// forms), stride >= 1. Purely syntactic — no SymEnv needed — so it runs on
 // plans whose bounds are not constant.
 struct Affine1D {
   std::string binder;
@@ -225,6 +190,33 @@ struct Affine1D {
 };
 
 std::optional<Affine1D> MatchAffine1D(const ExprPtr& part);
+
+// ---------- the slab matcher ----------
+
+// A subslab access `S[o1 + s1·i1, ..., ok + sk·ik]` over loop binders
+// i1..ik: part j of the index sweeps binder j alone, so the touched region
+// is the rectangle (strided when some sj > 1) with origin (o1, ..., ok).
+struct SlabAccess {
+  ExprPtr base;                  // the subscripted array; no binder free in it
+  std::vector<uint64_t> offset;  // per-dimension origin oj
+  std::vector<uint64_t> stride;  // per-dimension stride sj >= 1
+};
+
+// The one recognizer of subslab accesses, shared by result-cache
+// subsumption, both tiled pushdowns (tab and sum nest) and eta^p. Accepts
+// `subscript` = base[idx] against the k = binders.size() loop binders
+// (outermost first) only when
+//   - idx splits into k parts (IndexParts: a literal k-tuple, or idx
+//     itself when k = 1);
+//   - the binders are pairwise distinct — under a shadowed binder "part j
+//     sweeps binder j" is false (`[[ S[a, a] | \a < 4, \a < 5 ]]` reads
+//     a diagonal, not a slab);
+//   - part j is MatchAffine1D in binder j (so transposed accesses fail);
+//   - base mentions no binder free.
+// Consumers add their own conditions (unit stride, a tiled literal base,
+// extents that fit) on top.
+std::optional<SlabAccess> MatchSlab(const ExprPtr& subscript,
+                                    const std::vector<std::string>& binders);
 
 // ---------- shard locality ----------
 
@@ -235,12 +227,13 @@ struct PartitionSpec {
   uint64_t rows_per_shard = 0;
 };
 
-// Proves the summary's leading-dimension access stays inside ONE
-// partition of `spec` and names it. nullopt when the access can straddle
-// a boundary (or the spec is degenerate). Consumed by nothing yet — this
-// is the static fact the ROADMAP's scatter–gather item needs to route a
+// Proves the slab's leading-dimension access — offset[0] + stride[0]·i1
+// with i1 sweeping [0, lead_extent) — stays inside ONE partition of `spec`
+// and names it. nullopt when the access can straddle a boundary, the loop
+// is empty, or the spec is degenerate. Consumed by nothing yet — this is
+// the static fact the ROADMAP's scatter–gather item needs to route a
 // subplan to a single shard without a broadcast.
-std::optional<uint64_t> ShardLocal(const AccessSummary& summary,
+std::optional<uint64_t> ShardLocal(const SlabAccess& slab, uint64_t lead_extent,
                                    const PartitionSpec& spec);
 
 // ---------- proof certificates ----------

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "analysis/absint.h"
+#include "analysis/affine.h"
 #include "base/strings.h"
 #include "core/expr_ops.h"
 
@@ -72,14 +73,7 @@ class BoundsDomain {
     else k = 1;
     if (k == 0) k = 1;
 
-    std::vector<ExprPtr> parts(k);
-    if (k == 1) {
-      parts[0] = idx;
-    } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-      for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-    } else {
-      for (size_t j = 0; j < k; ++j) parts[j] = Expr::Proj(j + 1, k, idx);
-    }
+    std::vector<ExprPtr> parts = ProjectedIndexParts(idx, k);
 
     ++out_->subscripts;
     size_t proven_dims = 0;
@@ -93,8 +87,11 @@ class BoundsDomain {
     bool proven = proven_dims == k;
     if (proven) ++out_->proven; else ++out_->unproven;
     if (out_->facts.size() < BoundsSummary::kMaxFacts) {
-      out_->facts.push_back(
-          {AbsPathString(path), e->ToString(), proven, std::move(detail)});
+      // The array operand by name or shape only: rendering a literal's
+      // elements would copy (and, when tiled, read) the whole variable.
+      out_->facts.push_back({AbsPathString(path),
+                             StrCat(RenderArrayExpr(arr), "[", idx->ToString(), "]"),
+                             proven, std::move(detail)});
     }
   }
 

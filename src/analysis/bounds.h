@@ -34,7 +34,7 @@ namespace analysis {
 // One array subscript seen by the analysis.
 struct SubscriptFact {
   std::string path;    // child-index path from the root, e.g. "0.1"
-  std::string expr;    // rendering of the subscript expression
+  std::string expr;    // the subscript, array operand as RenderArrayExpr
   bool proven = false; // every index component proven below its extent
   std::string detail;  // which components were proven / why not
 };

@@ -28,16 +28,10 @@ bool IsPathPrefix(const std::vector<size_t>& a, const std::vector<size_t>& b) {
 // Constant index components of a subscript, when every component is a
 // constant; empty otherwise.
 std::vector<uint64_t> ConstIndexParts(const ExprPtr& idx, size_t k) {
-  std::vector<ExprPtr> parts;
-  if (k == 1) {
-    parts.push_back(idx);
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (const ExprPtr& c : idx->children()) parts.push_back(c);
-  } else {
-    return {};
-  }
+  std::optional<std::vector<ExprPtr>> parts = IndexParts(idx, k);
+  if (!parts) return {};
   std::vector<uint64_t> out;
-  for (const ExprPtr& p : parts) {
+  for (const ExprPtr& p : *parts) {
     if (p->is(ExprKind::kNatConst)) {
       out.push_back(p->nat_const());
     } else if (p->is(ExprKind::kLiteral) &&

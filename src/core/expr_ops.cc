@@ -336,4 +336,22 @@ uint64_t ApproxExprBytes(const ExprPtr& e) {
   return b;
 }
 
+std::optional<std::vector<ExprPtr>> IndexParts(const ExprPtr& idx, size_t k) {
+  if (k == 1) return std::vector<ExprPtr>{idx};
+  if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
+    return idx->children();
+  }
+  return std::nullopt;
+}
+
+std::vector<ExprPtr> ProjectedIndexParts(const ExprPtr& idx, size_t k) {
+  if (std::optional<std::vector<ExprPtr>> parts = IndexParts(idx, k)) {
+    return *std::move(parts);
+  }
+  std::vector<ExprPtr> parts;
+  parts.reserve(k);
+  for (size_t j = 0; j < k; ++j) parts.push_back(Expr::Proj(j + 1, k, idx));
+  return parts;
+}
+
 }  // namespace aql

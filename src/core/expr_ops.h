@@ -8,9 +8,11 @@
 #ifndef AQL_CORE_EXPR_OPS_H_
 #define AQL_CORE_EXPR_OPS_H_
 
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/expr.h"
 
@@ -53,6 +55,17 @@ uint64_t HashExpr(const ExprPtr& e);
 // deliberate, since cache eviction wants the cost of keeping the tree
 // reachable, not its minimal DAG size. Used by the byte-bounded caches.
 uint64_t ApproxExprBytes(const ExprPtr& e);
+
+// Per-dimension parts of a rank-k subscript index: the index itself when
+// k == 1, the fields of a literal k-tuple otherwise. nullopt for any other
+// shape, so a caller that needs "part j" syntactically (a slab matcher,
+// a kernel proof) never sees a projection.
+std::optional<std::vector<ExprPtr>> IndexParts(const ExprPtr& idx, size_t k);
+
+// IndexParts, falling back to the projections #1/k idx, ..., #k/k idx when
+// the index does not split syntactically: the decomposition beta^p
+// substitutes and the bounds provers reason about.
+std::vector<ExprPtr> ProjectedIndexParts(const ExprPtr& idx, size_t k);
 
 }  // namespace aql
 

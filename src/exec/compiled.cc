@@ -842,13 +842,26 @@ struct SumPushdown {
   uint64_t row_volume = 1;       // product(extent[1..]) — one leading row
 };
 
+// The base both pushdowns read: a tiled-array LITERAL of rank k — how a
+// resolved out-of-core readval appears in a plan, so the region is known
+// to come straight from storage. nullptr for anything else.
+const Value* TiledLiteral(const ExprPtr& base, size_t k) {
+  if (!base->is(ExprKind::kLiteral)) return nullptr;
+  const Value& v = base->literal();
+  if (v.kind() != ValueKind::kArray || v.array().payload != ArrayRep::Payload::kTiled ||
+      v.array().dims.size() != k) {
+    return nullptr;
+  }
+  return &v;
+}
+
 // Matches the whole nest rooted at `e`: each level must be a sum over
-// `gen(const)`, binders must be distinct, and the innermost body must be a
-// subscript of a tiled literal whose index parts are unit-stride affine in
-// the nest binders (offset + binder). The compile-time fits check makes
-// every iteration provably in range, so the body is total and the pruned
-// fold needs no per-point ⊥ handling. Records an aggregate-prune proof
-// certificate naming the per-dimension range facts.
+// `gen(const)`, and the innermost body a unit-stride slab access
+// (analysis::MatchSlab over the nest binders, outermost first) of a tiled
+// literal. The compile-time fits check makes every iteration provably in
+// range, so the body is total and the pruned fold needs no per-point ⊥
+// handling. Records an aggregate-prune proof certificate naming the
+// per-dimension range facts.
 std::unique_ptr<const SumPushdown> TryMatchSumPushdown(const ExprPtr& e,
                                                        analysis::Proof* proof) {
   auto nat_of = [](const ExprPtr& x, uint64_t* out) {
@@ -874,41 +887,21 @@ std::unique_ptr<const SumPushdown> TryMatchSumPushdown(const ExprPtr& e,
     cur = cur->child(0);
   }
   const size_t k = binders.size();
-  if (k == 0 || !cur->is(ExprKind::kSubscript)) return nullptr;
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i + 1; j < k; ++j) {
-      if (binders[i] == binders[j]) return nullptr;  // shadowing: ambiguous
-    }
-  }
-  const ExprPtr& base = cur->child(0);
-  if (!base->is(ExprKind::kLiteral)) return nullptr;
-  const Value& v = base->literal();
-  if (v.kind() != ValueKind::kArray ||
-      v.array().payload != ArrayRep::Payload::kTiled) {
-    return nullptr;
-  }
-  if (v.array().dims.size() != k) return nullptr;
-  const ExprPtr& idx = cur->child(1);
-  std::vector<ExprPtr> parts(k);
-  if (k == 1) {
-    parts[0] = idx;
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-  } else {
-    return nullptr;
+  if (k == 0) return nullptr;
+  std::optional<analysis::SlabAccess> slab = analysis::MatchSlab(cur, binders);
+  if (!slab) return nullptr;
+  const Value* v = TiledLiteral(slab->base, k);
+  if (v == nullptr) return nullptr;
+  for (size_t j = 0; j < k; ++j) {
+    if (slab->stride[j] != 1) return nullptr;
+    // Every touched coordinate must be in range: lo + (e-1) < dim.
+    const uint64_t dim = v->array().dims[j];
+    if (extents[j] > dim || slab->offset[j] > dim - extents[j]) return nullptr;
   }
   auto pd = std::make_unique<SumPushdown>();
-  pd->base = v;
-  pd->lower.resize(k);
+  pd->base = *v;
+  pd->lower = std::move(slab->offset);
   pd->extent = extents;
-  for (size_t j = 0; j < k; ++j) {
-    std::optional<analysis::Affine1D> m = analysis::MatchAffine1D(parts[j]);
-    if (!m || m->binder != binders[j] || m->stride != 1) return nullptr;
-    pd->lower[j] = m->offset;
-    // Every touched coordinate must be in range: lo + (e-1) < dim.
-    const uint64_t dim = v.array().dims[j];
-    if (extents[j] > dim || pd->lower[j] > dim - extents[j]) return nullptr;
-  }
   for (size_t j = 1; j < k; ++j) {
     if (extents[j] != 0 && pd->row_volume > kUnboxedAllocLimit / extents[j]) {
       return nullptr;  // a single row would blow the buffer budget
@@ -921,10 +914,10 @@ std::unique_ptr<const SumPushdown> TryMatchSumPushdown(const ExprPtr& e,
       facts.push_back(StrCat("dim ", j, ": ", binders[j], " + ", pd->lower[j],
                              " sweeps [", pd->lower[j], ", ",
                              pd->lower[j] + (extents[j] == 0 ? 0 : extents[j] - 1),
-                             "] inside extent ", v.array().dims[j]));
+                             "] inside extent ", v->array().dims[j]));
     }
     proof->Add("aggregate-prune",
-               StrCat("sum over ", analysis::RenderArrayExpr(base)),
+               StrCat("sum over ", analysis::RenderArrayExpr(slab->base)),
                std::move(facts));
   }
   return pd;
@@ -1038,62 +1031,21 @@ struct TabPushdown {
   std::vector<uint64_t> stride;  // per-dimension strides (>= 1)
 };
 
-// Matches `part` as offset + stride·binder in any commutation (the binder
-// alone, binder+c, c+binder, s*binder, and the add-of-mul forms), via the
-// affine single-binder matcher (analysis/affine.h). A different binder — a
-// transposed access — fails. The unit-stride subset mirrors the result
-// cache's subslab matcher (service/result_cache.cc).
-bool MatchPushdownIndexPart(const ExprPtr& part, const std::string& binder,
-                            uint64_t* offset, uint64_t* stride) {
-  std::optional<analysis::Affine1D> m = analysis::MatchAffine1D(part);
-  if (!m || m->binder != binder || m->stride == 0) return false;
-  *offset = m->offset;
-  *stride = m->stride;
-  return true;
-}
-
-// Detects the pushdown-eligible tabulation shape at compile time. The base
-// must be a LITERAL tiled array (how a resolved out-of-core readval
-// appears in a plan) so the region is known to come straight from storage;
-// binder names must be distinct so "part j uses binder j" is unambiguous.
+// Detects the pushdown-eligible tabulation shape at compile time: the body
+// is a slab access (analysis::MatchSlab over the tab binders, any strides)
+// of a tiled literal of the tab's rank.
 std::unique_ptr<const TabPushdown> TryMatchPushdown(const ExprPtr& e,
                                                     analysis::Proof* proof) {
-  const ExprPtr& body = e->tab_body();
-  if (!body->is(ExprKind::kSubscript)) return nullptr;
-  const ExprPtr& base = body->child(0);
-  if (!base->is(ExprKind::kLiteral)) return nullptr;
-  const Value& v = base->literal();
-  if (v.kind() != ValueKind::kArray ||
-      v.array().payload != ArrayRep::Payload::kTiled) {
-    return nullptr;
-  }
   const size_t k = e->tab_rank();
-  if (v.array().dims.size() != k) return nullptr;
   const std::vector<std::string>& binders = e->binders();
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i + 1; j < k; ++j) {
-      if (binders[i] == binders[j]) return nullptr;  // shadowing: ambiguous
-    }
-  }
-  const ExprPtr& idx = body->child(1);
-  std::vector<ExprPtr> parts(k);
-  if (k == 1) {
-    parts[0] = idx;
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-  } else {
-    return nullptr;
-  }
+  std::optional<analysis::SlabAccess> slab = analysis::MatchSlab(e->tab_body(), binders);
+  if (!slab) return nullptr;
+  const Value* v = TiledLiteral(slab->base, k);
+  if (v == nullptr) return nullptr;
   auto pd = std::make_unique<TabPushdown>();
-  pd->base = v;
-  pd->lower.resize(k);
-  pd->stride.resize(k);
-  for (size_t j = 0; j < k; ++j) {
-    if (!MatchPushdownIndexPart(parts[j], binders[j], &pd->lower[j],
-                                &pd->stride[j])) {
-      return nullptr;
-    }
-  }
+  pd->base = *v;
+  pd->lower = std::move(slab->offset);
+  pd->stride = std::move(slab->stride);
   if (proof != nullptr) {
     bool unit = true;
     std::vector<std::string> facts;
@@ -1104,7 +1056,7 @@ std::unique_ptr<const TabPushdown> TryMatchPushdown(const ExprPtr& e,
                              binders[j], ")"));
     }
     proof->Add(unit ? "subslab-pushdown" : "strided-pushdown",
-               StrCat("tab over ", analysis::RenderArrayExpr(base)),
+               StrCat("tab over ", analysis::RenderArrayExpr(slab->base)),
                std::move(facts));
   }
   return pd;

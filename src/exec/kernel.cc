@@ -231,15 +231,9 @@ void AnnotateNode(const ExprPtr& e, const analysis::SymEnv& env, KernelSpec* spe
     case KernelSpec::Op::kSubscript: {
       if (!e->is(ExprKind::kSubscript) || spec->kids.size() < 2) return;
       size_t k = spec->kids.size() - 1;
-      const ExprPtr& idx = e->child(1);
-      std::vector<ExprPtr> parts;
-      if (k == 1 && !idx->is(ExprKind::kTuple)) {
-        parts.push_back(idx);
-      } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-        for (const ExprPtr& c : idx->children()) parts.push_back(c);
-      } else {
-        return;  // shape mismatch; leave unproven
-      }
+      std::optional<std::vector<ExprPtr>> split = IndexParts(e->child(1), k);
+      if (!split) return;  // shape mismatch; leave unproven
+      const std::vector<ExprPtr>& parts = *split;
       spec->idx_proven.assign(k, 0);
       spec->idx_ub.assign(k, 0);
       std::vector<std::string> affine_facts;

@@ -2,6 +2,7 @@
 // domain extraction for tabulations, plus folding over dense literals and
 // materialized array values.
 
+#include "analysis/affine.h"
 #include "core/expr_ops.h"
 #include "opt/analysis.h"
 #include "opt/rules.h"
@@ -34,14 +35,7 @@ ExprPtr RuleBetaP(const ExprPtr& e, const CostGate& gate) {
 
   // Per-dimension index expressions: the tuple components when the index
   // is a syntactic tuple, projections of the index otherwise.
-  std::vector<ExprPtr> parts(k);
-  if (k == 1) {
-    parts[0] = idx;
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-  } else {
-    for (size_t j = 0; j < k; ++j) parts[j] = Expr::Proj(j + 1, k, idx);
-  }
+  std::vector<ExprPtr> parts = ProjectedIndexParts(idx, k);
 
   std::unordered_map<std::string, ExprPtr> subst;
   for (size_t j = 0; j < k; ++j) subst[tab->binders()[j]] = parts[j];
@@ -59,25 +53,16 @@ ExprPtr RuleBetaP(const ExprPtr& e, const CostGate& gate) {
 ExprPtr RuleEtaP(const ExprPtr& e) {
   if (!e->is(ExprKind::kTab)) return nullptr;
   size_t k = e->tab_rank();
-  const ExprPtr& body = e->tab_body();
-  if (!body->is(ExprKind::kSubscript)) return nullptr;
-  const ExprPtr& arr = body->child(0);
-  const ExprPtr& idx = body->child(1);
 
-  // Body index must be exactly (i1,...,ik).
-  if (k == 1) {
-    if (!idx->is(ExprKind::kVar) || idx->var_name() != e->binders()[0]) return nullptr;
-  } else {
-    if (!idx->is(ExprKind::kTuple) || idx->children().size() != k) return nullptr;
-    for (size_t j = 0; j < k; ++j) {
-      const ExprPtr& c = idx->child(j);
-      if (!c->is(ExprKind::kVar) || c->var_name() != e->binders()[j]) return nullptr;
-    }
+  // The body must be the identity slab e[i1,...,ik]: distinct binders, no
+  // binder free in e, every part its own binder at offset 0, stride 1.
+  std::optional<analysis::SlabAccess> slab =
+      analysis::MatchSlab(e->tab_body(), e->binders());
+  if (!slab) return nullptr;
+  for (size_t j = 0; j < k; ++j) {
+    if (slab->offset[j] != 0 || slab->stride[j] != 1) return nullptr;
   }
-  // No binder may occur free in the array expression.
-  for (const std::string& b : e->binders()) {
-    if (OccursFree(arr, b)) return nullptr;
-  }
+  const ExprPtr& arr = slab->base;
   // Bound j must be dim_j,k of (an alpha-equal copy of) the array — or,
   // when the array is a materialized literal whose dims have already been
   // constant-folded, the matching constant.

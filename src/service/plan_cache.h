@@ -24,7 +24,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "analysis/lint.h"
 #include "base/sync.h"
 #include "core/expr.h"
 #include "exec/compiled.h"
@@ -39,10 +38,6 @@ struct CachedPlan {
   ExprPtr optimized;  // after the rewrite pipeline
   TypePtr type;       // inferred type of the query
   std::shared_ptr<const exec::Program> program;  // slot-compiled plan
-  // Static facts over `optimized` (analysis/lint.h): shape/definedness/
-  // cardinality, bounds proofs, lint warnings. Computed once per compile,
-  // amortized across every cached run.
-  std::shared_ptr<const analysis::PlanFacts> facts;
 };
 
 class PlanCache {
@@ -70,7 +65,7 @@ class PlanCache {
   uint64_t evictions() const;
   // Approximate heap bytes held by the cached plans (the resolved and
   // optimized terms via ApproxExprBytes, plus a fixed per-entry overhead
-  // standing in for the compiled program and facts). Reporting only — the
+  // standing in for the compiled program). Reporting only — the
   // eviction bound stays the entry-count capacity — surfaced as the
   // `cache.plans.bytes` gauge so both caches report memory honestly.
   uint64_t bytes() const;

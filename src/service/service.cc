@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "analysis/lint.h"
 #include "analysis/verifier.h"
 #include "base/env.h"
 #include "base/strings.h"
@@ -253,23 +254,21 @@ Result<std::shared_ptr<const CachedPlan>> QueryService::GetPlan(
   }
   AQL_ASSIGN_OR_RETURN(exec::Program program,
                        exec::Compile(optimized, system_->PrimitiveResolver()));
-  // Static facts ride with the plan: computed once per fresh compile, then
-  // amortized across every cache hit.
-  auto facts =
-      std::make_shared<const analysis::PlanFacts>(analysis::AnalyzePlan(optimized));
-  if (config_.lint && !facts->lint.empty()) {
-    lint_warnings_->Increment(facts->lint.warnings.size());
-    std::string report = StrCat("lint: ", expression, "\n", facts->lint.ToString());
-    if (config_.lint_sink) {
-      config_.lint_sink(report);
-    } else {
-      std::fprintf(stderr, "%s", report.c_str());
+  if (config_.lint) {
+    analysis::LintReport lint = analysis::Lint(optimized);
+    if (!lint.empty()) {
+      lint_warnings_->Increment(lint.warnings.size());
+      std::string report = StrCat("lint: ", expression, "\n", lint.ToString());
+      if (config_.lint_sink) {
+        config_.lint_sink(report);
+      } else {
+        std::fprintf(stderr, "%s", report.c_str());
+      }
     }
   }
   auto plan = std::make_shared<CachedPlan>(
       CachedPlan{std::move(resolved), std::move(optimized), std::move(type),
-                 std::make_shared<const exec::Program>(std::move(program)),
-                 std::move(facts)});
+                 std::make_shared<const exec::Program>(std::move(program))});
   if (use_cache) cache_.Insert(plan);
   return std::shared_ptr<const CachedPlan>(std::move(plan));
 }

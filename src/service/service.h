@@ -88,8 +88,8 @@ struct ServiceConfig {
   std::function<void(const std::string&)> slow_query_sink = {};
   // Lint every freshly compiled plan (analysis/lint.h). Warnings never
   // fail the query: each report is emitted through lint_sink and counted
-  // in `analysis.lint.warnings`. The facts themselves are computed and
-  // cached regardless of this flag; it only controls reporting.
+  // in `analysis.lint.warnings`. Off, no static analysis runs on the
+  // serving path at all.
   bool lint = false;
   // Destination for lint reports; default writes to stderr.
   std::function<void(const std::string&)> lint_sink = {};

@@ -1,5 +1,5 @@
 // Relational affine-domain tests (src/analysis/affine.h): directed checks
-// of the affine forms, the access summaries, ShardLocal, the widening
+// of the affine forms, the slab matcher, ShardLocal, the widening
 // relation and proof certificates, plus fuzz properties against the real
 // evaluator:
 //
@@ -242,69 +242,94 @@ TEST(MatchAffine1DTest, RejectsNonAffineAndTwoBinder) {
   EXPECT_FALSE(MatchAffine1D(Div(I(), Nat(2))).has_value());
 }
 
-// ---- directed: access summaries and shard locality ---------------------
+// ---- directed: the slab matcher ----------------------------------------
 
-TEST(AccessSummaryTest, StridedWindow) {
-  // S[2*i + 8, j] under i < 4, j < 16.
-  SymEnv env;
-  env.facts.push_back({"i", Nat(4)});
-  env.facts.push_back({"j", Nat(16)});
-  ExprPtr sub = Expr::Subscript(
-      Expr::Var("S"),
-      Expr::Tuple({Add(Mul(Nat(2), I()), Nat(8)), Expr::Var("j")}));
-  std::optional<AccessSummary> s = SummarizeAccess(sub, env);
-  ASSERT_TRUE(s.has_value());
-  ASSERT_EQ(s->dims.size(), 2u);
-  EXPECT_EQ(s->dims[0].base, 8u);
-  EXPECT_EQ(s->dims[0].stride, 2u);
-  EXPECT_EQ(s->dims[0].extent, 4u);
-  EXPECT_EQ(s->dims[0].binder, "i");
-  EXPECT_EQ(s->dims[0].align_modulus, 2u);
-  EXPECT_EQ(s->dims[0].align_residue, 0u);
-  ASSERT_TRUE(s->dims[0].MaxIndex().has_value());
-  EXPECT_EQ(*s->dims[0].MaxIndex(), 14u);
-  EXPECT_EQ(s->dims[1].stride, 1u);
-  EXPECT_EQ(s->dims[1].extent, 16u);
+ExprPtr J() { return Expr::Var("j"); }
+ExprPtr S() { return Expr::Var("S"); }
+
+TEST(MatchSlabTest, AcceptsEveryAffineSpelling) {
+  struct Case {
+    ExprPtr part;
+    uint64_t offset, stride;
+  };
+  const Case cases[] = {
+      {I(), 0, 1},                         // i
+      {Add(I(), Nat(3)), 3, 1},            // i + c
+      {Add(Nat(3), I()), 3, 1},            // c + i
+      {Mul(I(), Nat(1)), 0, 1},            // i * 1
+      {Add(Mul(Nat(2), I()), Nat(8)), 8, 2},  // 2*i + c
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.part->ToString());
+    // Rank 1: the index is the part itself.
+    std::optional<SlabAccess> one = MatchSlab(Expr::Subscript(S(), c.part), {"i"});
+    ASSERT_TRUE(one.has_value());
+    EXPECT_EQ(one->base->var_name(), "S");
+    EXPECT_EQ(one->offset, (std::vector<uint64_t>{c.offset}));
+    EXPECT_EQ(one->stride, (std::vector<uint64_t>{c.stride}));
+    // Rank 2: the part leads a literal tuple, a bare j trails it.
+    std::optional<SlabAccess> two =
+        MatchSlab(Expr::Subscript(S(), Expr::Tuple({c.part, J()})), {"i", "j"});
+    ASSERT_TRUE(two.has_value());
+    EXPECT_EQ(two->offset, (std::vector<uint64_t>{c.offset, 0}));
+    EXPECT_EQ(two->stride, (std::vector<uint64_t>{c.stride, 1}));
+  }
 }
 
-TEST(AccessSummaryTest, ConstantIndexAndOpaqueIndex) {
-  SymEnv env = EnvWith("i", 4);
-  std::optional<AccessSummary> c = SummarizeAccess(
-      Expr::Subscript(Expr::Var("S"), Expr::Tuple({Nat(7), I()})), env);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->dims[0].base, 7u);
-  EXPECT_EQ(c->dims[0].stride, 0u);
-  EXPECT_EQ(c->dims[0].extent, 1u);
-  // i*i is relationally opaque: no summary.
+TEST(MatchSlabTest, RejectsNonSlabAccesses) {
+  // Transposed: part 0 sweeps j, not binder 0.
+  EXPECT_FALSE(MatchSlab(Expr::Subscript(S(), Expr::Tuple({J(), I()})), {"i", "j"}));
+  // Shadowed: both parts name the inner `a`, a diagonal.
+  ExprPtr a = Expr::Var("a");
+  EXPECT_FALSE(MatchSlab(Expr::Subscript(S(), Expr::Tuple({a, a})), {"a", "a"}));
+  // A binder free in the base: the array changes with the loop.
+  ExprPtr moving = Expr::Tab({"x"}, Add(Expr::Var("x"), I()), {Nat(8)});
+  EXPECT_FALSE(MatchSlab(Expr::Subscript(moving, I()), {"i"}));
+  // A two-binder part.
   EXPECT_FALSE(
-      SummarizeAccess(Expr::Subscript(Expr::Var("S"), Mul(I(), I())), env)
-          .has_value());
+      MatchSlab(Expr::Subscript(S(), Expr::Tuple({Add(I(), J()), J()})), {"i", "j"}));
+  // Arity: a rank-2 index under one binder, a bare index under two.
+  EXPECT_FALSE(MatchSlab(Expr::Subscript(S(), Expr::Tuple({I(), J()})), {"i"}));
+  EXPECT_FALSE(MatchSlab(Expr::Subscript(S(), I()), {"i", "j"}));
+  // Not a subscript at all.
+  EXPECT_FALSE(MatchSlab(I(), {"i"}));
 }
+
+// ---- directed: shard locality ------------------------------------------
 
 TEST(ShardLocalTest, ProvesSingleShardAndRejectsStraddle) {
   PartitionSpec spec;
   spec.shard_count = 4;
   spec.rows_per_shard = 64;
 
-  AccessSummary inside;
-  inside.array = "S";
-  inside.dims.push_back({/*base=*/130, /*stride=*/1, /*extent=*/10, 1, 0, "i"});
-  std::optional<uint64_t> shard = ShardLocal(inside, spec);
+  auto lead = [](uint64_t offset, uint64_t stride) {
+    SlabAccess slab;
+    slab.base = Expr::Var("S");
+    slab.offset = {offset};
+    slab.stride = {stride};
+    return slab;
+  };
+  std::optional<uint64_t> shard = ShardLocal(lead(130, 1), 10, spec);
   ASSERT_TRUE(shard.has_value());
   EXPECT_EQ(*shard, 2u);  // rows 130..139 live in shard 2 = [128, 192)
 
-  AccessSummary straddle;
-  straddle.array = "S";
-  straddle.dims.push_back({60, 1, 10, 1, 0, "i"});  // rows 60..69 cross 64
-  EXPECT_FALSE(ShardLocal(straddle, spec).has_value());
-
-  AccessSummary beyond;
-  beyond.array = "S";
-  beyond.dims.push_back({256, 1, 4, 1, 0, "i"});  // past the last shard
-  EXPECT_FALSE(ShardLocal(beyond, spec).has_value());
-
+  // Rows 60..69 cross 64; a stride of 4 from 130 reaches 166, still inside.
+  EXPECT_FALSE(ShardLocal(lead(60, 1), 10, spec).has_value());
+  EXPECT_EQ(ShardLocal(lead(130, 4), 10, spec), std::optional<uint64_t>(2));
+  EXPECT_FALSE(ShardLocal(lead(130, 8), 10, spec).has_value());  // reaches 202
+  // Past the last shard, an empty loop, a degenerate spec.
+  EXPECT_FALSE(ShardLocal(lead(256, 1), 4, spec).has_value());
+  EXPECT_FALSE(ShardLocal(lead(130, 1), 0, spec).has_value());
   PartitionSpec degenerate;  // rows_per_shard == 0
-  EXPECT_FALSE(ShardLocal(inside, degenerate).has_value());
+  EXPECT_FALSE(ShardLocal(lead(130, 1), 10, degenerate).has_value());
+
+  // Straight from the matcher: S[2*i + 8, j] under i < 4 touches rows
+  // 8..14, all in shard 0.
+  std::optional<SlabAccess> matched = MatchSlab(
+      Expr::Subscript(S(), Expr::Tuple({Add(Mul(Nat(2), I()), Nat(8)), J()})),
+      {"i", "j"});
+  ASSERT_TRUE(matched.has_value());
+  EXPECT_EQ(ShardLocal(*matched, 4, spec), std::optional<uint64_t>(0));
 }
 
 // ---- directed: proof certificates --------------------------------------

@@ -128,5 +128,28 @@ TEST(FreshName, AvoidsGivenNames) {
   EXPECT_EQ(FreshName("x$1", avoid), "x$2") << "existing suffix stripped";
 }
 
+TEST(IndexParts, SplitsSyntacticallyOrProjects) {
+  ExprPtr i = Expr::Var("i"), j = Expr::Var("j");
+  ExprPtr pair = Expr::Tuple({i, j});
+  // Rank 1: the index itself, even when it is a tuple-valued term.
+  auto one = IndexParts(i, 1);
+  ASSERT_TRUE(one.has_value());
+  EXPECT_EQ(one->size(), 1u);
+  EXPECT_EQ((*one)[0], i);
+  // Rank k: the fields of a literal k-tuple, and nothing else.
+  auto two = IndexParts(pair, 2);
+  ASSERT_TRUE(two.has_value());
+  EXPECT_EQ((*two)[0], i);
+  EXPECT_EQ((*two)[1], j);
+  EXPECT_FALSE(IndexParts(pair, 3).has_value());
+  EXPECT_FALSE(IndexParts(i, 2).has_value());
+  // The projecting variant falls back to #j/k of the whole index.
+  std::vector<ExprPtr> proj = ProjectedIndexParts(i, 2);
+  ASSERT_EQ(proj.size(), 2u);
+  EXPECT_EQ(proj[0]->ToString(), Expr::Proj(1, 2, i)->ToString());
+  EXPECT_EQ(proj[1]->ToString(), Expr::Proj(2, 2, i)->ToString());
+  EXPECT_EQ(ProjectedIndexParts(pair, 2)[1], j);
+}
+
 }  // namespace
 }  // namespace aql

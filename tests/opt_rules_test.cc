@@ -199,6 +199,30 @@ TEST_F(OptRulesTest, EtaPRejectsWrongShape) {
   ExprPtr e2 = Expr::Tab({"i"}, Expr::Subscript(Expr::Var("A"), Expr::Var("i")),
                          {Expr::Dim(1, Expr::Var("B"))});
   EXPECT_EQ(OptE(e2)->kind(), ExprKind::kTab);
+  // Shadowed binders: both parts name the inner `a`, so (x, y) reads
+  // M[y, y], a diagonal, not M.
+  ExprPtr diag = Expr::Subscript(Expr::Var("M"),
+                                 Expr::Tuple({Expr::Var("a"), Expr::Var("a")}));
+  ExprPtr e3 = Expr::Tab({"a", "a"}, diag,
+                         {Expr::Proj(1, 2, Expr::Dim(2, Expr::Var("M"))),
+                          Expr::Proj(2, 2, Expr::Dim(2, Expr::Var("M")))});
+  EXPECT_EQ(OptE(e3)->kind(), ExprKind::kTab);
+}
+
+TEST_F(OptRulesTest, EtaPShadowedBindersMatchTreeWalker) {
+  SystemConfig plain;
+  plain.optimize = false;
+  System reference(plain);
+  System optimizing;
+  const std::string setup = "val \\S = [[ i * 10 + j | \\i < 3, \\j < 3 ]];";
+  ASSERT_TRUE(reference.Run(setup).ok());
+  ASSERT_TRUE(optimizing.Run(setup).ok());
+  const std::string query = "[[ S[a, a] | \\a < 3, \\a < 3 ]]";
+  auto want = reference.Eval(query);
+  auto got = optimizing.Eval(query);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *want) << got->ToString() << " vs " << want->ToString();
 }
 
 TEST_F(OptRulesTest, DeltaPSkipsTabulation) {

@@ -171,8 +171,46 @@ TEST(ResultCacheTest, SubsumptionRejectsUnsafeShapes) {
                     ")[a + 6, b] | \\a < 4, \\b < 5 ]]";
   EXPECT_FALSE(cache.Lookup(MustResolve(&sys, oob), 0).has_value());
 
+  // Shadowed binders: both parts name the INNER `a`, so the value at
+  // (x, y) is S[y, y], a diagonal no rectangular slice can express.
+  std::string shadowed =
+      std::string("[[ (") + kSlab + ")[a, a] | \\a < 4, \\a < 5 ]]";
+  EXPECT_FALSE(cache.Lookup(MustResolve(&sys, shadowed), 0).has_value());
+
   EXPECT_EQ(cache.stats().subsumptions, 0u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+// The slab matcher's accepted forms (analysis::MatchSlab): every
+// unit-stride spelling of `binder + offset` is served by slicing; a
+// strided part is a matched slab access but not a rectangular slice.
+TEST(ResultCacheTest, SubsumptionServesUnitStrideFormsOnly) {
+  const char* const unit_forms[] = {
+      "[[ (%s)[a, b] | \\a < 4, \\b < 5 ]]",
+      "[[ (%s)[a + 2, b + 3] | \\a < 4, \\b < 5 ]]",
+      "[[ (%s)[2 + a, 3 + b] | \\a < 4, \\b < 5 ]]",
+      "[[ (%s)[a * 1, b] | \\a < 4, \\b < 5 ]]",
+  };
+  for (const char* form : unit_forms) {
+    System sys;
+    ResultCache cache(1 << 20);
+    cache.Insert(MustResolve(&sys, kSlab), MustEval(&sys, kSlab), 0);
+    std::string sub = form;
+    sub.replace(sub.find("%s"), 2, kSlab);
+    SCOPED_TRACE(sub);
+    auto hit = cache.Lookup(MustResolve(&sys, sub), 0);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, MustEval(&sys, sub));
+    EXPECT_EQ(cache.stats().subsumptions, 1u);
+  }
+
+  System sys;
+  ResultCache cache(1 << 20);
+  cache.Insert(MustResolve(&sys, kSlab), MustEval(&sys, kSlab), 0);
+  std::string strided =
+      std::string("[[ (") + kSlab + ")[2 * a + 1, b] | \\a < 3, \\b < 5 ]]";
+  EXPECT_FALSE(cache.Lookup(MustResolve(&sys, strided), 0).has_value());
+  EXPECT_EQ(cache.stats().subsumptions, 0u);
 }
 
 // ---- service integration ----
@@ -281,6 +319,18 @@ TEST(ResultCacheServiceTest, SubsumedSubslabThroughTheService) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, MustEval(&sys, sub));
   EXPECT_EQ(svc.result_cache().stats().subsumptions, 1u);
+}
+
+TEST(ResultCacheServiceTest, ShadowedBinderWindowMatchesTreeWalker) {
+  System sys;
+  QueryService svc(&sys, {.num_workers = 1});
+  ASSERT_TRUE(svc.Execute(kSlab).ok());
+  std::string shadowed =
+      std::string("[[ (") + kSlab + ")[a, a] | \\a < 4, \\a < 5 ]]";
+  auto r = svc.Execute(shadowed);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, MustEval(&sys, shadowed));
+  EXPECT_EQ(svc.result_cache().stats().subsumptions, 0u);
 }
 
 // ---- the bit-identity fuzz ----

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <limits>
 
+#include "analysis/lint.h"
 #include "core/expr.h"
 #include "env/system.h"
 #include "exec/compiled.h"
@@ -524,8 +525,14 @@ TEST(OutOfCore, PushdownMatchesCommutedBareAndStridedIndices) {
       // Commuted offset: lo + i instead of i + lo.
       {"[[ S[8 + i, j] | \\i < 4, \\j < 8 ]]",
        [](uint64_t i, uint64_t j) { return (i + 8) * 1000 + j; }},
+      // Plain offset: i + lo.
+      {"[[ S[i + 8, j + 4] | \\i < 4, \\j < 8 ]]",
+       [](uint64_t i, uint64_t j) { return (i + 8) * 1000 + j + 4; }},
       // Bare binder: no offset at all.
       {"[[ S[i, j] | \\i < 4, \\j < 8 ]]",
+       [](uint64_t i, uint64_t j) { return i * 1000 + j; }},
+      // Unit stride spelled as a product.
+      {"[[ S[i * 1, j] | \\i < 4, \\j < 8 ]]",
        [](uint64_t i, uint64_t j) { return i * 1000 + j; }},
       // Strided: 2*i + 8 sweeps rows 8, 10, ..., 14.
       {"[[ S[2 * i + 8, j] | \\i < 4, \\j < 8 ]]",
@@ -575,6 +582,105 @@ TEST(OutOfCore, PushdownMatchesCommutedBareAndStridedIndices) {
             << "(" << i << ", " << j << ")";
       }
     }
+  }
+  std::remove(path.c_str());
+}
+
+// Shadowed binders: in `[[ S[a, a] | \a < 4, \a < 5 ]]` and the matching
+// sum nest both parts name the INNER binder, so the access is a diagonal,
+// not a slab. Neither pushdown may fire, and both results must equal the
+// generic path's.
+TEST(OutOfCore, ShadowedBindersNeverPushDown) {
+  std::string path = TempPath("aql_storage_shadowed.nc");
+  WriteGrid(path, 64, 16);
+  ScopedEnv thr("AQL_TILED_READ_THRESHOLD", "1");
+  ScopedEnv tb("AQL_TILE_BYTES", "2048");
+  TileStore::Global().Clear();
+
+  SystemConfig cfg;
+  cfg.optimize = false;
+  System sys(cfg);
+  auto rd = sys.Run("readval \\S using NETCDF2 at (\"" + path +
+                    "\", \"v\", (0, 0), (63, 15));");
+  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
+  const Value& tiled = rd->back().value;
+  ASSERT_EQ(tiled.array().payload, ArrayRep::Payload::kTiled);
+
+  ExprPtr diag = Expr::Subscript(Expr::Literal(tiled),
+                                 Expr::Tuple({Expr::Var("a"), Expr::Var("a")}));
+  ExprPtr tab = Expr::Tab({"a", "a"}, diag, {Expr::NatConst(4), Expr::NatConst(5)});
+  ExprPtr nest = Expr::Sum(
+      "a", Expr::Sum("a", diag, Expr::Gen(Expr::NatConst(5))),
+      Expr::Gen(Expr::NatConst(4)));
+  Value diag_tab;
+  for (const ExprPtr& e : {tab, nest}) {
+    SCOPED_TRACE(e->kind() == ExprKind::kTab ? "tab" : "sum");
+    auto program = exec::Compile(e, sys.PrimitiveResolver());
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    for (const auto& entry : program->proof().entries) {
+      EXPECT_EQ(entry.optimization.find("-pushdown"), std::string::npos)
+          << program->proof().ToString();
+      EXPECT_NE(entry.optimization, "aggregate-prune") << program->proof().ToString();
+    }
+    Value with_pd, without_pd;
+    uint64_t pd_before = exec::GlobalExecStats().tab_pushdowns.load();
+    {
+      ScopedEnv pd("AQL_EXEC_PUSHDOWN", "1");
+      auto v = program->Run();
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      with_pd = *v;
+    }
+    EXPECT_EQ(exec::GlobalExecStats().tab_pushdowns.load(), pd_before);
+    {
+      ScopedEnv pd("AQL_EXEC_PUSHDOWN", "0");
+      auto v = program->Run();
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      without_pd = *v;
+    }
+    EXPECT_EQ(with_pd, without_pd);
+    if (e == tab) diag_tab = with_pd;
+  }
+  // And the tab is the diagonal, independently: (x, y) holds S[y, y].
+  ASSERT_EQ(diag_tab.array().dims, (std::vector<uint64_t>{4, 5}));
+  for (uint64_t x = 0; x < 4; ++x) {
+    for (uint64_t y = 0; y < 5; ++y) {
+      EXPECT_EQ(diag_tab.array().At(x * 5 + y), Value::Real(double(y * 1000 + y)));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// Plan facts over a tiled literal describe the access without reading it:
+// the bounds report names the array by its shape, never by its elements.
+TEST(OutOfCore, PlanFactsNeverReadTheTiledArray) {
+  std::string path = TempPath("aql_storage_facts.nc");
+  WriteGrid(path, 64, 16);
+  ScopedEnv thr("AQL_TILED_READ_THRESHOLD", "1");
+  ScopedEnv tb("AQL_TILE_BYTES", "2048");
+  TileStore::Global().Clear();
+
+  System sys;
+  auto rd = sys.Run("readval \\S using NETCDF2 at (\"" + path +
+                    "\", \"v\", (0, 0), (63, 15));");
+  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
+  const Value& tiled = rd->back().value;
+  ASSERT_EQ(tiled.array().payload, ArrayRep::Payload::kTiled);
+
+  ExprPtr window = Expr::Tab(
+      {"i", "j"},
+      Expr::Subscript(Expr::Literal(tiled),
+                      Expr::Tuple({Expr::Arith(ArithOp::kAdd, Expr::Var("i"),
+                                               Expr::NatConst(8)),
+                                   Expr::Var("j")})),
+      {Expr::NatConst(4), Expr::NatConst(8)});
+  uint64_t misses_before = TileStore::Global().stats().misses;
+  analysis::PlanFacts facts = analysis::AnalyzePlan(window);
+  EXPECT_EQ(TileStore::Global().stats().misses, misses_before)
+      << "static analysis must not read tiles";
+  ASSERT_EQ(facts.bounds.facts.size(), 1u);
+  EXPECT_EQ(facts.bounds.facts[0].expr, "<array 64 16>[(i + 8, j)]");
+  for (const analysis::SubscriptFact& f : facts.bounds.facts) {
+    EXPECT_LT(f.path.size() + f.expr.size() + f.detail.size(), 300u);
   }
   std::remove(path.c_str());
 }
