@@ -10,6 +10,11 @@
 //                       in m, hist' only pays the m-sized output array
 //   HistFastSweepM/m
 // The paper's crossover: hist' wins by ~m/log n for large m.
+//
+//   *Compiled/n|m     — the same four sweeps on the compiled backend, where
+//                       hist's tabulation of Sums runs as one typed kernel
+//                       and hist''s index fills its buckets straight from
+//                       the comprehension (docs/EXEC.md §3, §7)
 
 #include "bench_util.h"
 
@@ -52,6 +57,38 @@ void BM_HistFastSweepM(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_HistFastSweepM)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
+
+// The four sweeps above, compiled once and run on the exec backend.
+void RunCompiled(benchmark::State& state, const char* query, uint64_t n, uint64_t m,
+                 int64_t complexity_n) {
+  System* sys = SharedSystem();
+  (void)sys->DefineVal("H", NatVector(RandomNats(n, m)));
+  ExprPtr q = MustCompile(sys, state, query);
+  std::optional<exec::Program> program = MustCompileExec(sys, state, q);
+  if (!program) return;
+  for (auto _ : state) benchmark::DoNotOptimize(MustRun(state, *program));
+  state.SetComplexityN(complexity_n);
+}
+
+void BM_HistSweepNCompiled(benchmark::State& state) {
+  RunCompiled(state, "hist!H", state.range(0), 64, state.range(0));
+}
+BENCHMARK(BM_HistSweepNCompiled)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
+
+void BM_HistFastSweepNCompiled(benchmark::State& state) {
+  RunCompiled(state, "hist_fast!H", state.range(0), 64, state.range(0));
+}
+BENCHMARK(BM_HistFastSweepNCompiled)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
+
+void BM_HistSweepMCompiled(benchmark::State& state) {
+  RunCompiled(state, "hist!H", 1024, state.range(0), state.range(0));
+}
+BENCHMARK(BM_HistSweepMCompiled)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
+
+void BM_HistFastSweepMCompiled(benchmark::State& state) {
+  RunCompiled(state, "hist_fast!H", 1024, state.range(0), state.range(0));
+}
+BENCHMARK(BM_HistFastSweepMCompiled)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
 
 }  // namespace
 }  // namespace bench

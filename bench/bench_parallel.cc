@@ -6,6 +6,13 @@
 //   BM_TabRealGather/{n}/{t}   — real kernel gathering from an unboxed val
 //   BM_TabBoxedGeneric/{n}/{t} — tuple body: generic boxed chunked path
 //   BM_ParallelSum/{n}/{t}     — Sum with parallel body evaluation
+//   BM_NestedSumInGenericLoop/{m}/{t}
+//                              — a Sum over gen(m) run once per element of
+//                                a 512-element comprehension, which stays
+//                                generic: trip counts below the Sum
+//                                kernel's floor of 32 keep the boxed fold,
+//                                those at or above it instantiate a kernel
+//                                per run (docs/EXEC.md §3)
 //
 // Thread counts are applied via the AQL_EXEC_THREADS knob, which the exec
 // layer re-reads on every top-level Run; the benchmark binary itself stays
@@ -79,6 +86,14 @@ void BM_ParallelSum(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSum)
     ->ArgsProduct({{4096, 65536, 1048576}, {1, 2, 4, 8}});
+
+void BM_NestedSumInGenericLoop(benchmark::State& state) {
+  std::string m = std::to_string(state.range(0));
+  RunCompiledQuery(state,
+                   "{ summap(fn \\j => (x + j) % 97)!(gen!" + m + ") | \\x <- gen!512 }");
+}
+BENCHMARK(BM_NestedSumInGenericLoop)
+    ->ArgsProduct({{4, 16, 31, 32, 128}, {1, 4}});
 
 }  // namespace
 }  // namespace bench

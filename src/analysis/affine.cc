@@ -278,7 +278,7 @@ std::string RenderArrayExpr(const ExprPtr& arr) {
     }
     return "<literal>";
   }
-  std::string s = arr->ToString();
+  std::string s = arr->ToString(41);
   if (s.size() > 40) s = s.substr(0, 37) + "...";
   return s;
 }

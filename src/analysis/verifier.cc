@@ -29,7 +29,7 @@ std::string PathString(const std::vector<size_t>& path) {
 
 // Clipped rendering for messages: large terms would swamp the report.
 std::string Snippet(const ExprPtr& e) {
-  std::string s = e->ToString();
+  std::string s = e->ToString(121);
   if (s.size() > 120) s = s.substr(0, 117) + "...";
   return s;
 }

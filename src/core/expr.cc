@@ -1,6 +1,9 @@
 #include "core/expr.h"
 
 #include <cassert>
+#include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "base/strings.h"
 
@@ -254,6 +257,16 @@ size_t Expr::TreeSize() const {
   return n;
 }
 
+uint64_t Expr::literal_hash() const {
+  // Racing first uses store the same value.
+  uint64_t h = literal_hash_.load(std::memory_order_relaxed);
+  if (h == 0) {
+    h = HashValue(literal_);
+    literal_hash_.store(h, std::memory_order_relaxed);
+  }
+  return h;
+}
+
 ExprPtr Expr::WithChildren(std::vector<ExprPtr> children) const {
   return WithBindersAndChildren(binders_, std::move(children));
 }
@@ -297,9 +310,20 @@ std::vector<std::vector<std::string>> ChildBinders(const Expr& e) {
 
 namespace {
 
-void Append(const Expr& e, std::string* out);
+// The rendering under construction, and the length after which it stops
+// growing (Expr::ToString(max_len)); SIZE_MAX renders everything.
+struct Out {
+  std::string text;
+  size_t limit = SIZE_MAX;
 
-void AppendChild(const Expr& e, std::string* out) {
+  bool full() const { return text.size() >= limit; }
+  void append(std::string_view s) { text.append(s); }
+  void push_back(char c) { text.push_back(c); }
+};
+
+void Append(const Expr& e, Out* out);
+
+void AppendChild(const Expr& e, Out* out) {
   // Parenthesize anything that isn't clearly atomic.
   switch (e.kind()) {
     case ExprKind::kVar:
@@ -329,7 +353,8 @@ void AppendChild(const Expr& e, std::string* out) {
   }
 }
 
-void Append(const Expr& e, std::string* out) {
+void Append(const Expr& e, Out* out) {
+  if (out->full()) return;
   switch (e.kind()) {
     case ExprKind::kVar:
       out->append(e.var_name());
@@ -485,7 +510,8 @@ void Append(const Expr& e, std::string* out) {
       out->append("bottom");
       return;
     case ExprKind::kLiteral:
-      out->append(e.literal().ToString());
+      out->append(out->limit == SIZE_MAX ? e.literal().ToString()
+                                         : e.literal().ToString(out->limit - out->text.size()));
       return;
     case ExprKind::kExternal:
       out->append(e.var_name());
@@ -496,9 +522,16 @@ void Append(const Expr& e, std::string* out) {
 }  // namespace
 
 std::string Expr::ToString() const {
-  std::string out;
+  Out out;
   Append(*this, &out);
-  return out;
+  return std::move(out.text);
+}
+
+std::string Expr::ToString(size_t max_len) const {
+  Out out{"", max_len};
+  Append(*this, &out);
+  if (out.text.size() > max_len) out.text.resize(max_len);
+  return std::move(out.text);
 }
 
 }  // namespace aql

@@ -44,6 +44,7 @@
 #ifndef AQL_CORE_EXPR_H_
 #define AQL_CORE_EXPR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -151,6 +152,10 @@ class Expr : public std::enable_shared_from_this<Expr> {
   size_t proj_arity() const { return arity_k_; }              // kProj
   size_t rank() const { return arity_k_; }                    // kDim/kIndex/kDense/kTab
   const Value& literal() const { return literal_; }           // kLiteral
+  // HashValue(literal()), computed on first use and kept with the node: a
+  // large inlined literal is hashed once, not on every structural hash of
+  // a term that contains it.
+  uint64_t literal_hash() const;
 
   // Tab helpers: children_[0] is the body; children_[1..k] are bounds.
   const ExprPtr& tab_body() const { return children_[0]; }
@@ -169,6 +174,11 @@ class Expr : public std::enable_shared_from_this<Expr> {
   // Calculus-style rendering, e.g. "U{ {x} | x in gen(5) }",
   // "[[ A[i] | i < len(A) ]]".
   std::string ToString() const;
+  // The first `max_len` characters of ToString(), rendered without going
+  // further: a label over a large term costs its length, not the term's
+  // (inlined literals render through Value::ToString(max_len), which
+  // never reads a tile).
+  std::string ToString(size_t max_len) const;
 
   // Rebuilds this node with new children (same kind/binders/payload).
   // Used by generic bottom-up rewriting.
@@ -194,6 +204,7 @@ class Expr : public std::enable_shared_from_this<Expr> {
   size_t index_i_ = 0;
   size_t arity_k_ = 0;
   Value literal_;
+  mutable std::atomic<uint64_t> literal_hash_{0};  // 0: not computed yet
 };
 
 // For each child position of `e`, the binder names in scope for that child

@@ -278,7 +278,7 @@ uint64_t HashExprImpl(const ExprPtr& e,
       h = HashMix(h, e->rank());
       break;
     case ExprKind::kLiteral:
-      return HashMix(h, HashValue(e->literal()));
+      return HashMix(h, e->literal_hash());
     case ExprKind::kExternal:
       return HashMix(h, HashString(e->var_name()));
     default:

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "analysis/affine.h"
 #include "base/cancel.h"
@@ -236,6 +237,15 @@ class SetBuilder {
     Note(v);
     elems_.push_back(std::move(v));
   }
+  // The element {(k, v)} of a pair comprehension. (The fields are moved
+  // in: an initializer list would copy them.)
+  void AppendPair(Value k, Value v) {
+    std::vector<Value> fields;
+    fields.reserve(2);
+    fields.push_back(std::move(k));
+    fields.push_back(std::move(v));
+    Append(Value::MakeTuple(std::move(fields)));
+  }
   // A canonical set ascends internally, so only its first element is
   // compared; every element must still be Orderly.
   void AppendSet(const SetRep& s) {
@@ -293,11 +303,131 @@ class SetBuilder {
   bool duplicates_ = false;
 };
 
-Result<bool> Node::Emit(Frame* frame, SetBuilder* out) const {
-  AQL_ASSIGN_OR_RETURN(Value v, Run(frame));
+// The argument of index_k, filed as its loop emits it (docs/EXEC.md §7):
+// each value goes to the bucket of its key, with no pair tuple, no pair
+// set and no sort of the pairs, and each bucket is finished like a
+// SetBuilder. A bucket of the canonical pair set holds its values in
+// ascending order, so the array is the one IndexNode builds from that
+// set, byte for byte — provided <_t orders every value strictly
+// (Orderly) and every key has an extent. An emission that breaks this (a
+// value that is not strictly Orderly, a key that is not a nat or a rank-k
+// tuple of nats, a coordinate 2^64-1) leaves the sink unfiled, and so
+// does a volume CheckedVolume refuses: IndexNode then re-runs the loop
+// into a set, and its own code raises any key error after the loop, as
+// before.
+class IndexSink {
+ public:
+  explicit IndexSink(size_t rank) : dims_(rank, 0) {}
+
+  void Append(const Value& pair) {
+    if (pair.kind() != ValueKind::kTuple || pair.tuple_fields().size() != 2) {
+      unfiled_ = true;
+      return;
+    }
+    AppendPair(pair.tuple_fields()[0], pair.tuple_fields()[1]);
+  }
+  void AppendSet(const SetRep& s) {
+    for (const Value& pair : s.elems) Append(pair);
+  }
+  void AppendPair(const Value& key, Value value) {
+    if (unfiled_) return;
+    const size_t rank = dims_.size();
+    const Value* coords = &key;
+    if (rank > 1) {
+      if (key.kind() != ValueKind::kTuple || key.tuple_fields().size() != rank) {
+        unfiled_ = true;
+        return;
+      }
+      coords = key.tuple_fields().data();
+    }
+    for (size_t j = 0; j < rank; ++j) {
+      if (coords[j].kind() != ValueKind::kNat || coords[j].nat_value() == UINT64_MAX) {
+        unfiled_ = true;
+        return;
+      }
+    }
+    if (!Orderly(value, /*strict=*/true)) {
+      unfiled_ = true;
+      return;
+    }
+    for (size_t j = 0; j < rank; ++j) {
+      keys_.push_back(coords[j].nat_value());
+      dims_[j] = std::max(dims_[j], keys_.back() + 1);
+    }
+    values_.push_back(std::move(value));
+  }
+
+  // Loop-driver protocol (DriveLoop), as SetBuilder's.
+  IndexSink ForChunk() const { return IndexSink(dims_.size()); }
+  Status Absorb(IndexSink&& chunk) {
+    unfiled_ = unfiled_ || chunk.unfiled_;
+    if (unfiled_) return Status::OK();
+    for (size_t j = 0; j < dims_.size(); ++j) dims_[j] = std::max(dims_[j], chunk.dims_[j]);
+    keys_.insert(keys_.end(), chunk.keys_.begin(), chunk.keys_.end());
+    values_.insert(values_.end(), std::make_move_iterator(chunk.values_.begin()),
+                   std::make_move_iterator(chunk.values_.end()));
+    return Status::OK();
+  }
+
+  // The index array, or nullopt when some emission could not be filed.
+  Result<std::optional<Value>> Finish() && {
+    if (unfiled_) return std::optional<Value>();
+    Result<uint64_t> volume = CheckedVolume(dims_);
+    if (!volume.ok()) return std::optional<Value>();
+    const uint64_t total = *volume;
+    const size_t rank = dims_.size();
+    // Counting sort on the flat key, stable, so each bucket keeps the
+    // emission order; afterwards end[b] is where bucket b ends.
+    std::vector<uint64_t> flat(values_.size());
+    std::vector<uint64_t> end(total, 0);
+    for (size_t i = 0; i < values_.size(); ++i) {
+      uint64_t f = 0;
+      for (size_t j = 0; j < rank; ++j) f = f * dims_[j] + keys_[i * rank + j];
+      flat[i] = f;
+      ++end[f];
+    }
+    uint64_t begin = 0;
+    for (uint64_t& e : end) begin += std::exchange(e, begin);
+    std::vector<Value> sorted(values_.size());
+    for (size_t i = 0; i < values_.size(); ++i) sorted[end[flat[i]]++] = std::move(values_[i]);
+    std::vector<Value> elems;
+    elems.reserve(total);
+    begin = 0;
+    for (uint64_t b = 0; b < total; ++b) {
+      SetBuilder bucket;
+      for (; begin < end[b]; ++begin) bucket.Append(std::move(sorted[begin]));
+      elems.push_back(std::move(bucket).Finish());
+    }
+    auto arr = Value::MakeArray(dims_, std::move(elems));
+    if (!arr.ok()) return Status::Internal(arr.status().message());
+    return std::optional<Value>(std::move(arr).value());
+  }
+
+ private:
+  std::vector<uint64_t> dims_;   // largest key + 1, per dimension
+  std::vector<uint64_t> keys_;   // rank coordinates per filed value
+  std::vector<Value> values_;    // in emission order
+  bool unfiled_ = false;
+};
+
+namespace {
+
+// Node::Emit's default: run the node and append the resulting set.
+template <typename Sink>
+Result<bool> EmitRun(const Node& node, Frame* frame, Sink* out) {
+  AQL_ASSIGN_OR_RETURN(Value v, node.Run(frame));
   if (v.is_bottom()) return false;
   out->AppendSet(v.set());
   return true;
+}
+
+}  // namespace
+
+Result<bool> Node::Emit(Frame* frame, SetBuilder* out) const {
+  return EmitRun(*this, frame, out);
+}
+Result<bool> Node::Emit(Frame* frame, IndexSink* out) const {
+  return EmitRun(*this, frame, out);
 }
 
 // A hash index of one probed source: element i's key and, sorted, the
@@ -318,15 +448,48 @@ class SingletonNode : public Node {
     if (v.is_bottom()) return Value::Bottom();
     return Value::MakeSetCanonical({std::move(v)});
   }
-  Result<bool> Emit(Frame* f, SetBuilder* out) const override {
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override { return EmitTo(f, out); }
+  Result<bool> Emit(Frame* f, IndexSink* out) const override { return EmitTo(f, out); }
+
+ private:
+  template <typename Sink>
+  Result<bool> EmitTo(Frame* f, Sink* out) const {
     AQL_ASSIGN_OR_RETURN(Value v, inner_->Run(f));
     if (v.is_bottom()) return false;
     out->Append(std::move(v));
     return true;
   }
 
- private:
   NodePtr inner_;
+};
+
+// {(K, V)}: emits the pair through the sink's pair path, so an IndexSink
+// files V under K without building the tuple.
+class PairNode : public Node {
+ public:
+  PairNode(NodePtr key, NodePtr value) : key_(std::move(key)), value_(std::move(value)) {}
+  Result<Value> Run(Frame* f) const override {
+    SetBuilder out;
+    AQL_ASSIGN_OR_RETURN(bool defined, EmitTo(f, &out));
+    if (!defined) return Value::Bottom();
+    return std::move(out).Finish();
+  }
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override { return EmitTo(f, out); }
+  Result<bool> Emit(Frame* f, IndexSink* out) const override { return EmitTo(f, out); }
+
+ private:
+  // The fields in order, as TupleNode evaluates them.
+  template <typename Sink>
+  Result<bool> EmitTo(Frame* f, Sink* out) const {
+    AQL_ASSIGN_OR_RETURN(Value k, key_->Run(f));
+    if (k.is_bottom()) return false;
+    AQL_ASSIGN_OR_RETURN(Value v, value_->Run(f));
+    if (v.is_bottom()) return false;
+    out->AppendPair(std::move(k), std::move(v));
+    return true;
+  }
+
+  NodePtr key_, value_;
 };
 
 class UnionNode : public Node {
@@ -339,14 +502,18 @@ class UnionNode : public Node {
     if (b.is_bottom()) return Value::Bottom();
     return Value::SetUnion(a, b);
   }
-  // Both operands in order, as Run evaluates them; the builder merges.
-  Result<bool> Emit(Frame* f, SetBuilder* out) const override {
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override { return EmitTo(f, out); }
+  Result<bool> Emit(Frame* f, IndexSink* out) const override { return EmitTo(f, out); }
+
+ private:
+  // Both operands in order, as Run evaluates them; the sink merges.
+  template <typename Sink>
+  Result<bool> EmitTo(Frame* f, Sink* out) const {
     AQL_ASSIGN_OR_RETURN(bool defined, a_->Emit(f, out));
     if (!defined) return false;
     return b_->Emit(f, out);
   }
 
- private:
   NodePtr a_, b_;
 };
 
@@ -577,7 +744,12 @@ class BigUnionNode : public Node {
     return std::move(out).Finish();
   }
 
-  Result<bool> Emit(Frame* f, SetBuilder* out) const override {
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override { return EmitTo(f, out); }
+  Result<bool> Emit(Frame* f, IndexSink* out) const override { return EmitTo(f, out); }
+
+ private:
+  template <typename Sink>
+  Result<bool> EmitTo(Frame* f, Sink* out) const {
     Value src;
     LoopView view;
     AQL_ASSIGN_OR_RETURN(bool defined, source_.Open(f, &src, &view));
@@ -590,12 +762,10 @@ class BigUnionNode : public Node {
       if (n == Narrowing::kBottom) return false;
       if (n == Narrowing::kNarrowed) body = guard_.then;
     }
-    return DriveLoop(f, binder_slot_, view, out, [body](Frame* fr, SetBuilder* acc) {
-      return body->Emit(fr, acc);
-    });
+    return DriveLoop(f, binder_slot_, view, out,
+                     [body](Frame* fr, Sink* acc) { return body->Emit(fr, acc); });
   }
 
- private:
   // kNarrowed: the view holds exactly the elements the guard admits, and
   // the loop runs the guarded branch only. kScan: the guard cannot be
   // used on this source or outer value; the loop runs the full body over
@@ -734,13 +904,17 @@ class IfNode : public Node {
     if (c.is_bottom()) return Value::Bottom();
     return (c.bool_value() ? then_ : else_)->Run(f);
   }
-  Result<bool> Emit(Frame* f, SetBuilder* out) const override {
+  Result<bool> Emit(Frame* f, SetBuilder* out) const override { return EmitTo(f, out); }
+  Result<bool> Emit(Frame* f, IndexSink* out) const override { return EmitTo(f, out); }
+
+ private:
+  template <typename Sink>
+  Result<bool> EmitTo(Frame* f, Sink* out) const {
     AQL_ASSIGN_OR_RETURN(Value c, cond_->Run(f));
     if (c.is_bottom()) return false;
     return (c.bool_value() ? then_ : else_)->Emit(f, out);
   }
 
- private:
   NodePtr cond_, then_, else_;
 };
 
@@ -923,13 +1097,21 @@ std::unique_ptr<const SumPushdown> TryMatchSumPushdown(const ExprPtr& e,
   return pd;
 }
 
+// The fewest elements a standalone Sum folds with its kernel: below this
+// the kernel's instantiation costs more than the boxed loop it replaces,
+// which matters for a Sum run once per element of an enclosing generic
+// loop.
+constexpr uint64_t kSumKernelMinTrips = 32;
+
 class SumNode : public Node {
  public:
   SumNode(size_t binder_slot, NodePtr body, LoopSource source,
-          std::unique_ptr<const SumPushdown> pushdown = nullptr)
+          std::unique_ptr<const KernelSpec> kernel_spec,
+          std::unique_ptr<const SumPushdown> pushdown)
       : binder_slot_(binder_slot),
         body_(std::move(body)),
         source_(std::move(source)),
+        kernel_spec_(std::move(kernel_spec)),
         pushdown_(std::move(pushdown)) {}
   Result<Value> Run(Frame* f) const override {
     if (pushdown_ != nullptr && f->knobs.pushdown) return RunPruned();
@@ -937,6 +1119,13 @@ class SumNode : public Node {
     LoopView view;
     AQL_ASSIGN_OR_RETURN(bool defined, source_.Open(f, &src, &view));
     if (!defined) return Value::Bottom();
+    if (kernel_spec_ != nullptr && view.size() >= kSumKernelMinTrips) {
+      AQL_ASSIGN_OR_RETURN(std::optional<Value> total, RunKernel(f, view));
+      if (total) {
+        GlobalExecStats().sum_kernels.fetch_add(1, std::memory_order_relaxed);
+        return *std::move(total);
+      }
+    }
     SumFold fold;
     AQL_ASSIGN_OR_RETURN(
         defined, DriveLoop(f, binder_slot_, view, &fold,
@@ -951,6 +1140,84 @@ class SumNode : public Node {
   }
 
  private:
+  // The typed fold of an admitted body: binder 0 of the kernel is the
+  // Sum's binder. Nat addition wraps, so a nat fold may be chunked; a real
+  // fold runs left to right from 0.0, as SumFold adds. nullopt sends the
+  // Sum down the generic path: the source holds a non-nat, the frame does
+  // not fit the spec, the body is bool (SumFold's error), or a part is ⊥
+  // (the generic loop then reports the first ⊥ or error in source order).
+  Result<std::optional<Value>> RunKernel(Frame* f, const LoopView& view) const {
+    std::vector<uint64_t> elems;  // a set source's elements; empty: counted
+    if (view.elems != nullptr) {
+      elems.reserve(view.size());
+      for (const Value& x : *view.elems) {
+        if (x.kind() != ValueKind::kNat) return std::optional<Value>();
+        elems.push_back(x.nat_value());
+      }
+    }
+    std::unique_ptr<Kernel> kernel = Kernel::Instantiate(*kernel_spec_, *f);
+    if (kernel == nullptr) return std::optional<Value>();
+    const Kernel& k = *kernel;
+    const bool unchecked = k.unchecked() && f->knobs.unchecked;
+    const size_t width = std::max<size_t>(1, k.binders());
+    const uint64_t n = view.size();
+    auto element = [&elems](uint64_t i) { return elems.empty() ? i : elems[i]; };
+    std::optional<Value> total;
+    switch (k.result_type()) {
+      case Kernel::Type::kNat: {
+        std::atomic<uint64_t> sum{0};
+        std::atomic<bool> bottom{false};
+        Status ps = ParallelFor(n, [&](uint64_t begin, uint64_t end) -> Status {
+          std::vector<uint64_t> idx(width);
+          uint64_t part = 0;
+          for (uint64_t i = begin; i < end; ++i) {
+            if (((i - begin) & 0xFFF) == 0) {
+              AQL_RETURN_IF_ERROR(CheckInterrupt());
+              if (bottom.load(std::memory_order_relaxed)) return Status::OK();
+            }
+            idx[0] = element(i);
+            uint64_t v;
+            if (unchecked) {
+              v = k.EvalNatUnchecked(idx.data());
+            } else if (!k.EvalNat(idx.data(), &v)) {
+              bottom.store(true, std::memory_order_relaxed);
+              return Status::OK();
+            }
+            part += v;
+          }
+          sum.fetch_add(part, std::memory_order_relaxed);
+          return Status::OK();
+        }, f->knobs.par);
+        AQL_RETURN_IF_ERROR(ps);
+        if (bottom.load(std::memory_order_relaxed)) return std::optional<Value>();
+        total = Value::Nat(sum.load(std::memory_order_relaxed));
+        break;
+      }
+      case Kernel::Type::kReal: {
+        std::vector<uint64_t> idx(width);
+        double sum = 0;
+        for (uint64_t i = 0; i < n; ++i) {
+          if ((i & 0xFFF) == 0) AQL_RETURN_IF_ERROR(CheckInterrupt());
+          idx[0] = element(i);
+          double v;
+          if (unchecked) {
+            v = k.EvalRealUnchecked(idx.data());
+          } else if (!k.EvalReal(idx.data(), &v)) {
+            return std::optional<Value>();
+          }
+          sum += v;
+        }
+        total = Value::Real(sum);
+        break;
+      }
+      case Kernel::Type::kBool:
+        return std::optional<Value>();
+    }
+    // A Sum nested in the body stops early when interrupted.
+    AQL_RETURN_IF_ERROR(CheckInterrupt());
+    return total;
+  }
+
   // The pruned fold: row-by-row over the leading dimension, consulting the
   // slab's zone maps first. Mirrors the generic nest exactly — each leading
   // row contributes its own inner left-to-right fold, and rows accumulate
@@ -1016,6 +1283,7 @@ class SumNode : public Node {
   size_t binder_slot_;
   NodePtr body_;
   LoopSource source_;
+  std::unique_ptr<const KernelSpec> kernel_spec_;
   std::unique_ptr<const SumPushdown> pushdown_;
 };
 
@@ -1139,18 +1407,21 @@ class TabNode : public Node {
     // run, so tests and benchmarks can toggle it in-process).
     if (kernel_spec_ != nullptr && total <= kUnboxedAllocLimit) {
       if (std::unique_ptr<Kernel> kernel = Kernel::Instantiate(*kernel_spec_, *f)) {
+        ExecStats& stats = GlobalExecStats();
         if (kernel->unchecked() && f->knobs.unchecked) {
           AQL_ASSIGN_OR_RETURN(Value arr,
                                RunKernelUnchecked(*kernel, dims, total, f->knobs.par));
-          GlobalExecStats().unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
-          GlobalExecStats().unchecked_kernels.fetch_add(1, std::memory_order_relaxed);
+          stats.unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
+          stats.unchecked_kernels.fetch_add(1, std::memory_order_relaxed);
+          stats.sum_kernels.fetch_add(kernel->sums(), std::memory_order_relaxed);
           return arr;
         }
         bool bottom_seen = false;
         AQL_ASSIGN_OR_RETURN(Value arr,
                              RunKernel(*kernel, dims, total, f->knobs.par, &bottom_seen));
         if (!bottom_seen) {
-          GlobalExecStats().unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
+          stats.unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
+          stats.sum_kernels.fetch_add(kernel->sums(), std::memory_order_relaxed);
           return arr;
         }
       }
@@ -1258,15 +1529,21 @@ class TabNode : public Node {
     return std::move(arr).value();
   }
 
+  // `width` is the kernel's binders(): the index vector also holds the
+  // binders of the Sums in the body, which they overwrite as they fold.
+  // After the loop, one more interrupt poll: such a Sum stops early, with
+  // a meaningless value, when the query is interrupted.
   template <typename T, typename EvalFn>
   static Result<Value> KernelLoop(const std::vector<uint64_t>& dims, uint64_t total,
-                                  const ParConfig& par, bool* bottom_seen, EvalFn&& eval,
+                                  size_t width, const ParConfig& par, bool* bottom_seen,
+                                  EvalFn&& eval,
                                   Result<Value> (*make)(std::vector<uint64_t>,
                                                         std::vector<T>)) {
     std::vector<T> buf(total);
     std::atomic<bool> bottom{false};
     Status ps = ParallelFor(total, [&](uint64_t begin, uint64_t end) -> Status {
       std::vector<uint64_t> index = DecodeIndex(begin, dims);
+      index.resize(std::max(index.size(), width));
       for (uint64_t flat = begin; flat < end; ++flat) {
         if (((flat - begin) & 0xFFF) == 0) {
           AQL_RETURN_IF_ERROR(CheckInterrupt());
@@ -1281,6 +1558,7 @@ class TabNode : public Node {
       return Status::OK();
     }, par);
     AQL_RETURN_IF_ERROR(ps);
+    AQL_RETURN_IF_ERROR(CheckInterrupt());
     if (bottom.load(std::memory_order_relaxed)) {
       *bottom_seen = true;
       return Value::Bottom();  // placeholder; caller re-runs generically
@@ -1295,12 +1573,13 @@ class TabNode : public Node {
   // body, store. Interrupt polling stays (deadlines must still bite).
   template <typename T, typename EvalFn>
   static Result<Value> KernelLoopU(const std::vector<uint64_t>& dims, uint64_t total,
-                                   const ParConfig& par, EvalFn&& eval,
+                                   size_t width, const ParConfig& par, EvalFn&& eval,
                                    Result<Value> (*make)(std::vector<uint64_t>,
                                                          std::vector<T>)) {
     std::vector<T> buf(total);
     Status ps = ParallelFor(total, [&](uint64_t begin, uint64_t end) -> Status {
       std::vector<uint64_t> index = DecodeIndex(begin, dims);
+      index.resize(std::max(index.size(), width));
       for (uint64_t flat = begin; flat < end; ++flat) {
         if (((flat - begin) & 0xFFF) == 0) AQL_RETURN_IF_ERROR(CheckInterrupt());
         buf[flat] = eval(index.data());
@@ -1309,6 +1588,7 @@ class TabNode : public Node {
       return Status::OK();
     }, par);
     AQL_RETURN_IF_ERROR(ps);
+    AQL_RETURN_IF_ERROR(CheckInterrupt());
     auto arr = make(dims, std::move(buf));
     if (!arr.ok()) return Status::Internal(arr.status().message());
     return std::move(arr).value();
@@ -1320,18 +1600,18 @@ class TabNode : public Node {
     switch (kernel.result_type()) {
       case Kernel::Type::kNat:
         return KernelLoopU<uint64_t>(
-            dims, total, par,
-            [&kernel](const uint64_t* idx) { return kernel.EvalNatUnchecked(idx); },
+            dims, total, kernel.binders(), par,
+            [&kernel](uint64_t* idx) { return kernel.EvalNatUnchecked(idx); },
             &Value::MakeNatArray);
       case Kernel::Type::kReal:
         return KernelLoopU<double>(
-            dims, total, par,
-            [&kernel](const uint64_t* idx) { return kernel.EvalRealUnchecked(idx); },
+            dims, total, kernel.binders(), par,
+            [&kernel](uint64_t* idx) { return kernel.EvalRealUnchecked(idx); },
             &Value::MakeRealArray);
       case Kernel::Type::kBool:
         return KernelLoopU<uint8_t>(
-            dims, total, par,
-            [&kernel](const uint64_t* idx) { return kernel.EvalBoolUnchecked(idx); },
+            dims, total, kernel.binders(), par,
+            [&kernel](uint64_t* idx) { return kernel.EvalBoolUnchecked(idx); },
             &Value::MakeBoolArray);
     }
     return Status::Internal("bad kernel result type");
@@ -1342,22 +1622,22 @@ class TabNode : public Node {
     switch (kernel.result_type()) {
       case Kernel::Type::kNat:
         return KernelLoop<uint64_t>(
-            dims, total, par, bottom_seen,
-            [&kernel](const uint64_t* idx, uint64_t* out) {
+            dims, total, kernel.binders(), par, bottom_seen,
+            [&kernel](uint64_t* idx, uint64_t* out) {
               return kernel.EvalNat(idx, out);
             },
             &Value::MakeNatArray);
       case Kernel::Type::kReal:
         return KernelLoop<double>(
-            dims, total, par, bottom_seen,
-            [&kernel](const uint64_t* idx, double* out) {
+            dims, total, kernel.binders(), par, bottom_seen,
+            [&kernel](uint64_t* idx, double* out) {
               return kernel.EvalReal(idx, out);
             },
             &Value::MakeRealArray);
       case Kernel::Type::kBool:
         return KernelLoop<uint8_t>(
-            dims, total, par, bottom_seen,
-            [&kernel](const uint64_t* idx, uint8_t* out) {
+            dims, total, kernel.binders(), par, bottom_seen,
+            [&kernel](uint64_t* idx, uint8_t* out) {
               return kernel.EvalBool(idx, out);
             },
             &Value::MakeBoolArray);
@@ -1399,11 +1679,16 @@ class SubscriptNode : public Node {
     }
     AQL_ASSIGN_OR_RETURN(Value idx, idx_->Run(f));
     if (idx.is_bottom()) return Value::Bottom();
+    const ArrayRep& a = arr.array();
+    if (idx.kind() == ValueKind::kNat && a.dims.size() == 1) {
+      // The common rank-1 case, without the index vector.
+      if (idx.nat_value() >= a.dims[0]) return Value::Bottom();
+      return a.At(idx.nat_value());
+    }
     std::vector<uint64_t> index;
     if (!ExtractIndexValue(idx, &index)) {
       return Status::EvalError("array index is not a nat or tuple of nats");
     }
-    const ArrayRep& a = arr.array();
     if (!a.InBounds(index)) return Value::Bottom();
     return a.At(a.Flatten(index));
   }
@@ -1435,8 +1720,22 @@ class DimNode : public Node {
 
 class IndexNode : public Node {
  public:
-  IndexNode(size_t rank, NodePtr source) : rank_(rank), source_(std::move(source)) {}
+  // `fused`: the source is a comprehension, whose loop emits straight
+  // into an IndexSink.
+  IndexNode(size_t rank, NodePtr source, bool fused)
+      : rank_(rank), source_(std::move(source)), fused_(fused) {}
   Result<Value> Run(Frame* f) const override {
+    if (fused_) {
+      IndexSink sink(rank_);
+      AQL_ASSIGN_OR_RETURN(bool defined, source_->Emit(f, &sink));
+      if (!defined) return Value::Bottom();
+      AQL_ASSIGN_OR_RETURN(std::optional<Value> arr, std::move(sink).Finish());
+      if (arr) {
+        GlobalExecStats().index_fused.fetch_add(1, std::memory_order_relaxed);
+        return *std::move(arr);
+      }
+      // Unfiled: the loop runs again into a set, as it always did.
+    }
     AQL_ASSIGN_OR_RETURN(Value src, source_->Run(f));
     if (src.is_bottom()) return Value::Bottom();
     std::vector<uint64_t> dims(rank_, 0);
@@ -1478,6 +1777,7 @@ class IndexNode : public Node {
  private:
   size_t rank_;
   NodePtr source_;
+  bool fused_;
 };
 
 class DenseNode : public Node {
@@ -1751,7 +2051,13 @@ class Compiler {
       case ExprKind::kEmptySet:
         return NodePtr(new ConstNode(Value::EmptySet()));
       case ExprKind::kSingleton: {
-        AQL_ASSIGN_OR_RETURN(NodePtr inner, CompileNode(e->child(0)));
+        const ExprPtr& elem = e->child(0);
+        if (elem->is(ExprKind::kTuple) && elem->children().size() == 2) {
+          AQL_ASSIGN_OR_RETURN(NodePtr k, CompileNode(elem->child(0)));
+          AQL_ASSIGN_OR_RETURN(NodePtr v, CompileNode(elem->child(1)));
+          return NodePtr(new PairNode(std::move(k), std::move(v)));
+        }
+        AQL_ASSIGN_OR_RETURN(NodePtr inner, CompileNode(elem));
         return NodePtr(new SingletonNode(std::move(inner)));
       }
       case ExprKind::kUnion: {
@@ -1806,10 +2112,16 @@ class Compiler {
         AQL_ASSIGN_OR_RETURN(LoopSource src, CompileLoopSource(e->child(1)));
         size_t slot = Push(e->binder(), /*loop=*/true);
         auto body = CompileNode(e->child(0));
+        std::unique_ptr<KernelSpec> spec = KernelSpecOf(e, {slot});
+        // Inside a kernel tabulation's body the tabulation's annotation
+        // certifies this Sum's subscripts, with more facts.
+        if (spec != nullptr) {
+          AnnotateKernelSpec(*e, spec.get(), kernel_tabs_ == 0 ? &proof_ : nullptr);
+        }
         Pop();
         AQL_RETURN_IF_ERROR(body.status());
         return NodePtr(new SumNode(slot, std::move(body).value(), std::move(src),
-                                   TryMatchSumPushdown(e, &proof_)));
+                                   std::move(spec), TryMatchSumPushdown(e, &proof_)));
       }
       case ExprKind::kTab: {
         std::vector<NodePtr> bounds;
@@ -1819,15 +2131,14 @@ class Compiler {
         }
         std::vector<size_t> slots;
         for (const std::string& v : e->binders()) slots.push_back(Push(v, /*loop=*/true));
+        std::unique_ptr<KernelSpec> spec = KernelSpecOf(e, slots);
+        if (spec != nullptr) ++kernel_tabs_;
         auto body = CompileNode(e->tab_body());
-        std::unique_ptr<KernelSpec> spec;
-        if (body.ok()) {
-          spec = BuildKernelSpec(
-              *e->tab_body(), slots,
-              [this](const std::string& name) { return Lookup(name); });
+        if (spec != nullptr) {
+          --kernel_tabs_;
           // Attach in-range/nonzero proofs so instantiation can admit the
           // unchecked evaluators (analysis/absint.h; once per compile).
-          if (spec != nullptr) AnnotateKernelSpec(*e, spec.get(), &proof_);
+          if (body.ok()) AnnotateKernelSpec(*e, spec.get(), &proof_);
         }
         Pop(e->tab_rank());
         AQL_RETURN_IF_ERROR(body.status());
@@ -1846,7 +2157,8 @@ class Compiler {
       }
       case ExprKind::kIndex: {
         AQL_ASSIGN_OR_RETURN(NodePtr src, CompileNode(e->child(0)));
-        return NodePtr(new IndexNode(e->rank(), std::move(src)));
+        return NodePtr(new IndexNode(e->rank(), std::move(src),
+                                     e->child(0)->is(ExprKind::kBigUnion)));
       }
       case ExprKind::kDense: {
         if (NodePtr folded = TryFoldDense(e)) return folded;
@@ -1876,6 +2188,13 @@ class Compiler {
       }
     }
     return Status::Internal("unknown expression kind in compiler");
+  }
+
+  // The kernel spec of loop `e`'s body (a tabulation or a Sum, binders
+  // already pushed at `slots`), or nullptr when it leaves the fragment.
+  std::unique_ptr<KernelSpec> KernelSpecOf(const ExprPtr& e, const std::vector<size_t>& slots) {
+    return BuildKernelSpec(*e->child(0), slots,
+                           [this](const std::string& name) { return Lookup(name); });
   }
 
   // Lambdas compile against a fresh frame [captures..., param, scratch].
@@ -1908,6 +2227,7 @@ class Compiler {
   std::vector<std::string> scope_;
   std::vector<bool> loop_bound_;  // parallel to scope_
   size_t high_water_ = 0;
+  int kernel_tabs_ = 0;  // enclosing tabulations with a kernel spec
   analysis::Proof proof_;
 };
 

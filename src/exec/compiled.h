@@ -87,9 +87,12 @@ struct Frame {
   std::vector<ProbeMemo> probes;
 };
 
-// Accumulates the elements of one set comprehension and canonicalizes
-// them once at the end (compiled.cc).
+// The sinks a set comprehension emits into (compiled.cc): a SetBuilder
+// accumulates its elements and canonicalizes them once at the end; an
+// IndexSink files the (key, value) pairs of index_k's argument straight
+// into their buckets.
 class SetBuilder;
+class IndexSink;
 
 // A compiled expression node.
 class Node {
@@ -101,6 +104,7 @@ class Node {
   // contents of `out` are then meaningless). The default runs the node
   // and appends the resulting set.
   virtual Result<bool> Emit(Frame* frame, SetBuilder* out) const;
+  virtual Result<bool> Emit(Frame* frame, IndexSink* out) const;
 };
 
 using NodePtr = std::unique_ptr<const Node>;

@@ -1,11 +1,13 @@
 #include "exec/kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
 
 #include "analysis/absint.h"
 #include "analysis/affine.h"
+#include "base/cancel.h"
 #include "base/strings.h"
 
 namespace aql {
@@ -13,161 +15,184 @@ namespace exec {
 
 namespace {
 
-// Resolves a kDim-rooted expression to a kDimOf spec leaf when the array
-// operand is itself admissible (a non-binder frame slot or a literal
-// array). `rank`/`j` come from the surrounding kDim/kProj.
-bool BuildDimOf(const Expr& arr, size_t rank, size_t j,
-                const std::vector<size_t>& binder_slots, const SlotLookup& lookup,
-                KernelSpec* out) {
-  out->op = KernelSpec::Op::kDimOf;
-  out->nat = rank;
-  out->index = j;
-  out->kids.resize(1);
-  if (arr.is(ExprKind::kVar)) {
-    Result<size_t> slot = lookup(arr.var_name());
-    if (!slot.ok()) return false;
-    for (size_t b : binder_slots) {
-      if (b == slot.value()) return false;  // a binder is a nat, not an array
-    }
-    out->kids[0].op = KernelSpec::Op::kSlot;
-    out->kids[0].index = slot.value();
-    return true;
-  }
-  if (arr.is(ExprKind::kLiteral) && arr.literal().kind() == ValueKind::kArray) {
-    out->kids[0].op = KernelSpec::Op::kLiteralArr;
-    out->kids[0].literal = arr.literal();
-    return true;
-  }
-  return false;
-}
-
 // Structural admission of the kernel fragment. Mirrors the runtime nodes
 // of compiled.cc exactly where it matters: nat arithmetic wraps, monus
 // truncates, nat div/mod by zero is ⊥, real div by zero is IEEE (not ⊥),
 // comparisons are the 3-way `x<y ? -1 : y<x ? 1 : 0` (so NaN compares
 // equal to everything, as in Value::Compare).
-bool BuildSpec(const Expr& e, const std::vector<size_t>& binder_slots,
-               const SlotLookup& lookup, KernelSpec* out) {
-  switch (e.kind()) {
-    case ExprKind::kNatConst:
-      out->op = KernelSpec::Op::kNatConst;
-      out->nat = e.nat_const();
-      return true;
-    case ExprKind::kRealConst:
-      out->op = KernelSpec::Op::kRealConst;
-      out->real = e.real_const();
-      return true;
-    case ExprKind::kBoolConst:
-      out->op = KernelSpec::Op::kBoolConst;
-      out->boolean = e.bool_const();
-      return true;
-    case ExprKind::kLiteral: {
-      const Value& v = e.literal();
-      switch (v.kind()) {
-        case ValueKind::kNat:
-          out->op = KernelSpec::Op::kNatConst;
-          out->nat = v.nat_value();
-          return true;
-        case ValueKind::kReal:
-          out->op = KernelSpec::Op::kRealConst;
-          out->real = v.real_value();
-          return true;
-        case ValueKind::kBool:
-          out->op = KernelSpec::Op::kBoolConst;
-          out->boolean = v.bool_value();
-          return true;
-        default:
-          return false;
-      }
-    }
-    case ExprKind::kVar: {
-      Result<size_t> slot = lookup(e.var_name());
-      if (!slot.ok()) return false;
-      // Innermost binding wins, and binder slots are the innermost scope
-      // at the body, so a binder-slot hit is exactly a loop index.
-      for (size_t j = 0; j < binder_slots.size(); ++j) {
-        if (binder_slots[j] == slot.value()) {
-          out->op = KernelSpec::Op::kBinder;
-          out->index = j;
-          return true;
+class SpecBuilder {
+ public:
+  SpecBuilder(const std::vector<size_t>& binder_slots, const SlotLookup& lookup)
+      : binder_slots_(binder_slots), lookup_(lookup), next_binder_(binder_slots.size()) {}
+
+  bool Build(const Expr& e, KernelSpec* out) {
+    switch (e.kind()) {
+      case ExprKind::kNatConst:
+        out->op = KernelSpec::Op::kNatConst;
+        out->nat = e.nat_const();
+        return true;
+      case ExprKind::kRealConst:
+        out->op = KernelSpec::Op::kRealConst;
+        out->real = e.real_const();
+        return true;
+      case ExprKind::kBoolConst:
+        out->op = KernelSpec::Op::kBoolConst;
+        out->boolean = e.bool_const();
+        return true;
+      case ExprKind::kLiteral: {
+        const Value& v = e.literal();
+        switch (v.kind()) {
+          case ValueKind::kNat:
+            out->op = KernelSpec::Op::kNatConst;
+            out->nat = v.nat_value();
+            return true;
+          case ValueKind::kReal:
+            out->op = KernelSpec::Op::kRealConst;
+            out->real = v.real_value();
+            return true;
+          case ValueKind::kBool:
+            out->op = KernelSpec::Op::kBoolConst;
+            out->boolean = v.bool_value();
+            return true;
+          default:
+            return false;
         }
+      }
+      case ExprKind::kVar: {
+        // Innermost binding wins: the body's own Sum binders first, then
+        // the loop binders (the innermost scope of the compiler at the body).
+        for (size_t i = sums_.size(); i-- > 0;) {
+          if (sums_[i].first == e.var_name()) {
+            out->op = KernelSpec::Op::kBinder;
+            out->index = sums_[i].second;
+            return true;
+          }
+        }
+        Result<size_t> slot = lookup_(e.var_name());
+        if (!slot.ok()) return false;
+        for (size_t j = 0; j < binder_slots_.size(); ++j) {
+          if (binder_slots_[j] == slot.value()) {
+            out->op = KernelSpec::Op::kBinder;
+            out->index = j;
+            return true;
+          }
+        }
+        out->op = KernelSpec::Op::kSlot;
+        out->index = slot.value();
+        return true;
+      }
+      case ExprKind::kArith:
+        out->op = KernelSpec::Op::kArith;
+        out->arith = e.arith_op();
+        return Kids(e, 2, out);
+      case ExprKind::kCmp:
+        out->op = KernelSpec::Op::kCmp;
+        out->cmp = e.cmp_op();
+        return Kids(e, 2, out);
+      case ExprKind::kIf:
+        out->op = KernelSpec::Op::kIf;
+        return Kids(e, 3, out);
+      case ExprKind::kSubscript: {
+        // Subscripts of a plain variable (the array sits in a frame slot,
+        // resolved once at instantiation) or of an inlined literal array
+        // (what a top-level val becomes after name resolution).
+        out->op = KernelSpec::Op::kSubscript;
+        out->kids.resize(1);
+        if (!ValueLeaf(*e.child(0), ValueKind::kArray, &out->kids[0])) return false;
+        const Expr& idx = *e.child(1);
+        if (idx.is(ExprKind::kTuple)) {
+          for (const ExprPtr& c : idx.children()) {
+            out->kids.emplace_back();
+            if (!Build(*c, &out->kids.back())) return false;
+          }
+        } else {
+          out->kids.emplace_back();
+          if (!Build(idx, &out->kids.back())) return false;
+        }
+        return true;
+      }
+      case ExprKind::kDim:
+        // dim!1 a: the extent of a rank-1 array — what index arithmetic like
+        // `A[(i + 1) % dim!1 A]` needs in scope. Higher ranks arrive through
+        // the kProj case below.
+        if (e.rank() != 1) return false;
+        return DimOf(*e.child(0), 1, 0, out);
+      case ExprKind::kProj: {
+        // pi_j(dim!k a): one extent of a rank-k array.
+        const Expr& d = *e.child(0);
+        if (!d.is(ExprKind::kDim) || d.rank() != e.proj_arity()) return false;
+        return DimOf(*d.child(0), d.rank(), e.proj_index() - 1, out);
+      }
+      case ExprKind::kSum: {
+        // The source is built in the enclosing scope, the body with the
+        // Sum's binder innermost.
+        const Expr& src = *e.child(1);
+        out->op = KernelSpec::Op::kSum;
+        out->boolean = src.is(ExprKind::kGen);
+        out->kids.resize(2);
+        if (out->boolean ? !Build(*src.child(0), &out->kids[0])
+                         : !ValueLeaf(src, ValueKind::kSet, &out->kids[0])) {
+          return false;
+        }
+        out->index = next_binder_++;
+        sums_.emplace_back(e.binder(), out->index);
+        const bool ok = Build(*e.child(0), &out->kids[1]);
+        sums_.pop_back();
+        return ok;
+      }
+      default:
+        return false;
+    }
+  }
+
+ private:
+  bool Kids(const Expr& e, size_t n, KernelSpec* out) {
+    out->kids.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (!Build(*e.child(i), &out->kids[i])) return false;
+    }
+    return true;
+  }
+
+  // An array or set operand: a variable of a frame slot that is not a
+  // binder (a binder is a nat), or a literal of that kind.
+  bool ValueLeaf(const Expr& e, ValueKind kind, KernelSpec* out) {
+    if (e.is(ExprKind::kVar)) {
+      for (const auto& [name, pos] : sums_) {
+        if (name == e.var_name()) return false;
+      }
+      Result<size_t> slot = lookup_(e.var_name());
+      if (!slot.ok()) return false;
+      for (size_t b : binder_slots_) {
+        if (b == slot.value()) return false;
       }
       out->op = KernelSpec::Op::kSlot;
       out->index = slot.value();
       return true;
     }
-    case ExprKind::kArith: {
-      out->op = KernelSpec::Op::kArith;
-      out->arith = e.arith_op();
-      out->kids.resize(2);
-      return BuildSpec(*e.child(0), binder_slots, lookup, &out->kids[0]) &&
-             BuildSpec(*e.child(1), binder_slots, lookup, &out->kids[1]);
-    }
-    case ExprKind::kCmp: {
-      out->op = KernelSpec::Op::kCmp;
-      out->cmp = e.cmp_op();
-      out->kids.resize(2);
-      return BuildSpec(*e.child(0), binder_slots, lookup, &out->kids[0]) &&
-             BuildSpec(*e.child(1), binder_slots, lookup, &out->kids[1]);
-    }
-    case ExprKind::kIf: {
-      out->op = KernelSpec::Op::kIf;
-      out->kids.resize(3);
-      return BuildSpec(*e.child(0), binder_slots, lookup, &out->kids[0]) &&
-             BuildSpec(*e.child(1), binder_slots, lookup, &out->kids[1]) &&
-             BuildSpec(*e.child(2), binder_slots, lookup, &out->kids[2]);
-    }
-    case ExprKind::kSubscript: {
-      // Subscripts of a plain variable (the array sits in a frame slot,
-      // resolved once at instantiation) or of an inlined literal array
-      // (what a top-level val becomes after name resolution).
-      const Expr& arr = *e.child(0);
-      out->op = KernelSpec::Op::kSubscript;
-      out->kids.resize(1);
-      if (arr.is(ExprKind::kVar)) {
-        Result<size_t> slot = lookup(arr.var_name());
-        if (!slot.ok()) return false;
-        for (size_t b : binder_slots) {
-          if (b == slot.value()) return false;  // a binder is a nat, not an array
-        }
-        out->kids[0].op = KernelSpec::Op::kSlot;
-        out->kids[0].index = slot.value();
-      } else if (arr.is(ExprKind::kLiteral) &&
-                 arr.literal().kind() == ValueKind::kArray) {
-        out->kids[0].op = KernelSpec::Op::kLiteralArr;
-        out->kids[0].literal = arr.literal();
-      } else {
-        return false;
-      }
-      const Expr& idx = *e.child(1);
-      if (idx.is(ExprKind::kTuple)) {
-        for (const ExprPtr& c : idx.children()) {
-          out->kids.emplace_back();
-          if (!BuildSpec(*c, binder_slots, lookup, &out->kids.back())) return false;
-        }
-      } else {
-        out->kids.emplace_back();
-        if (!BuildSpec(idx, binder_slots, lookup, &out->kids.back())) return false;
-      }
+    if (e.is(ExprKind::kLiteral) && e.literal().kind() == kind) {
+      out->op = kind == ValueKind::kArray ? KernelSpec::Op::kLiteralArr
+                                          : KernelSpec::Op::kLiteralSet;
+      out->literal = e.literal();
       return true;
     }
-    case ExprKind::kDim:
-      // dim!1 a: the extent of a rank-1 array — what index arithmetic like
-      // `A[(i + 1) % dim!1 A]` needs in scope. Higher ranks arrive through
-      // the kProj case below.
-      if (e.rank() != 1) return false;
-      return BuildDimOf(*e.child(0), 1, 0, binder_slots, lookup, out);
-    case ExprKind::kProj: {
-      // pi_j(dim!k a): one extent of a rank-k array.
-      const Expr& d = *e.child(0);
-      if (!d.is(ExprKind::kDim) || d.rank() != e.proj_arity()) return false;
-      return BuildDimOf(*d.child(0), d.rank(), e.proj_index() - 1, binder_slots,
-                        lookup, out);
-    }
-    default:
-      return false;
+    return false;
   }
-}
+
+  // A kDimOf leaf: extent j of the rank-`rank` array operand `arr`.
+  bool DimOf(const Expr& arr, size_t rank, size_t j, KernelSpec* out) {
+    out->op = KernelSpec::Op::kDimOf;
+    out->nat = rank;
+    out->index = j;
+    out->kids.resize(1);
+    return ValueLeaf(arr, ValueKind::kArray, &out->kids[0]);
+  }
+
+  const std::vector<size_t>& binder_slots_;
+  const SlotLookup& lookup_;
+  std::vector<std::pair<std::string, size_t>> sums_;  // Sum binders in scope
+  size_t next_binder_;
+};
 
 }  // namespace
 
@@ -175,7 +200,7 @@ std::unique_ptr<KernelSpec> BuildKernelSpec(const Expr& body,
                                             const std::vector<size_t>& binder_slots,
                                             const SlotLookup& lookup) {
   auto spec = std::make_unique<KernelSpec>();
-  if (!BuildSpec(body, binder_slots, lookup, spec.get())) return nullptr;
+  if (!SpecBuilder(binder_slots, lookup).Build(body, spec.get())) return nullptr;
   return spec;
 }
 
@@ -277,6 +302,16 @@ void AnnotateNode(const ExprPtr& e, const analysis::SymEnv& env, KernelSpec* spe
       }
       return;
     }
+    case KernelSpec::Op::kSum: {
+      if (!e->is(ExprKind::kSum) || spec->kids.size() != 2) return;
+      if (spec->boolean) AnnotateNode(e->child(1)->child(0), env, &spec->kids[0], proof);
+      // The body sees the Sum's binder: facts about an outer binding of
+      // that name no longer apply, and a gen(n) source bounds it by n.
+      analysis::SymEnv body_env = analysis::KillShadowed(env, {e->binder()});
+      analysis::AddBinderFacts(e, 0, &body_env);
+      AnnotateNode(e->child(0), body_env, &spec->kids[1], proof);
+      return;
+    }
     default:
       return;  // leaves (consts, binders, slots, kDimOf) carry no proofs
   }
@@ -284,18 +319,17 @@ void AnnotateNode(const ExprPtr& e, const analysis::SymEnv& env, KernelSpec* spe
 
 }  // namespace
 
-void AnnotateKernelSpec(const Expr& tab, KernelSpec* spec, analysis::Proof* proof) {
-  if (!tab.is(ExprKind::kTab)) return;
+void AnnotateKernelSpec(const Expr& loop, KernelSpec* spec, analysis::Proof* proof) {
+  if (!loop.is(ExprKind::kTab) && !loop.is(ExprKind::kSum)) return;
   analysis::SymEnv env;
-  ExprPtr tab_ptr = tab.shared_from_this();
-  analysis::AddBinderFacts(tab_ptr, 0, &env);  // binders below their bounds
-  AnnotateNode(tab.tab_body(), env, spec, proof);
+  ExprPtr loop_ptr = loop.shared_from_this();
+  analysis::AddBinderFacts(loop_ptr, 0, &env);  // binders below their bounds
+  AnnotateNode(loop.child(0), env, spec, proof);
 }
 
 // ---------- runtime instantiation ----------
 
-bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
-                   std::vector<Value>* pinned, RtNode* out, bool* unchecked) {
+bool Kernel::Build(const KernelSpec& spec, const Frame& frame, RtNode* out) {
   out->op = spec.op;
   switch (spec.op) {
     case KernelSpec::Op::kNatConst:
@@ -313,6 +347,7 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
     case KernelSpec::Op::kBinder:
       out->type = Type::kNat;
       out->binder = spec.index;
+      binders_ = std::max(binders_, spec.index + 1);
       return true;
     case KernelSpec::Op::kSlot: {
       // Scalar slots freeze into constants for the whole loop (the
@@ -342,8 +377,8 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
     case KernelSpec::Op::kArith: {
       out->arith = spec.arith;
       out->kids.resize(2);
-      if (!Build(spec.kids[0], frame, pinned, &out->kids[0], unchecked) ||
-          !Build(spec.kids[1], frame, pinned, &out->kids[1], unchecked)) {
+      if (!Build(spec.kids[0], frame, &out->kids[0]) ||
+          !Build(spec.kids[1], frame, &out->kids[1])) {
         return false;
       }
       if (out->kids[0].type != out->kids[1].type) return false;
@@ -355,15 +390,15 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
         // a divisor frozen to a nonzero constant at instantiation.
         bool safe = spec.div_safe || (out->kids[1].op == KernelSpec::Op::kNatConst &&
                                       out->kids[1].nat != 0);
-        if (!safe) *unchecked = false;
+        if (!safe) unchecked_ = false;
       }
       return true;
     }
     case KernelSpec::Op::kCmp: {
       out->cmp = spec.cmp;
       out->kids.resize(2);
-      if (!Build(spec.kids[0], frame, pinned, &out->kids[0], unchecked) ||
-          !Build(spec.kids[1], frame, pinned, &out->kids[1], unchecked)) {
+      if (!Build(spec.kids[0], frame, &out->kids[0]) ||
+          !Build(spec.kids[1], frame, &out->kids[1])) {
         return false;
       }
       if (out->kids[0].type != out->kids[1].type) return false;
@@ -373,7 +408,7 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
     case KernelSpec::Op::kIf: {
       out->kids.resize(3);
       for (size_t i = 0; i < 3; ++i) {
-        if (!Build(spec.kids[i], frame, pinned, &out->kids[i], unchecked)) return false;
+        if (!Build(spec.kids[i], frame, &out->kids[i])) return false;
       }
       if (out->kids[0].type != Type::kBool) return false;
       if (out->kids[1].type != out->kids[2].type) return false;
@@ -395,8 +430,8 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
       if (!a.unboxed()) return false;
       size_t rank = spec.kids.size() - 1;
       if (a.dims.size() != rank) return false;
-      pinned->push_back(v);  // keep the buffer alive for the kernel
-      out->arr = &pinned->back().array();
+      pinned_.push_back(v);  // keep the buffer alive for the kernel
+      out->arr = &pinned_.back().array();
       switch (a.payload) {
         case ArrayRep::Payload::kNats: out->type = Type::kNat; break;
         case ArrayRep::Payload::kReals: out->type = Type::kReal; break;
@@ -408,7 +443,7 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
       }
       out->kids.resize(rank);
       for (size_t i = 0; i < rank; ++i) {
-        if (!Build(spec.kids[1 + i], frame, pinned, &out->kids[i], unchecked)) return false;
+        if (!Build(spec.kids[1 + i], frame, &out->kids[i])) return false;
         if (out->kids[i].type != Type::kNat) return false;
         // ⊥ source: out-of-bounds index. Discharged by a symbolic proof
         // against the extent, by a constant bound validated against the
@@ -419,7 +454,7 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
              spec.idx_ub[i] <= a.dims[i]) ||
             (out->kids[i].op == KernelSpec::Op::kNatConst &&
              out->kids[i].nat < a.dims[i]);
-        if (!safe) *unchecked = false;
+        if (!safe) unchecked_ = false;
       }
       return true;
     }
@@ -445,8 +480,46 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
       out->nat = a.dims[spec.index];
       return true;
     }
+    case KernelSpec::Op::kSum: {
+      out->binder = spec.index;
+      binders_ = std::max(binders_, spec.index + 1);
+      ++sums_;
+      out->kids.resize(2);
+      const KernelSpec& src = spec.kids[0];
+      if (spec.boolean) {
+        if (!Build(src, frame, &out->kids[0]) || out->kids[0].type != Type::kNat) return false;
+      } else {
+        // A set source: its elements, copied once; every one must be a nat
+        // (anything else makes the body's arithmetic fail generically).
+        const Value* v = &src.literal;
+        if (src.op == KernelSpec::Op::kSlot) {
+          if (src.index >= frame.slots.size()) return false;
+          v = &frame.slots[src.index];
+        }
+        if (v->kind() != ValueKind::kSet) return false;
+        out->elems.reserve(v->set().elems.size());
+        for (const Value& x : v->set().elems) {
+          if (x.kind() != ValueKind::kNat) return false;
+          out->elems.push_back(x.nat_value());
+        }
+        out->kids[0].op = KernelSpec::Op::kNatConst;
+        out->kids[0].type = Type::kNat;
+        out->kids[0].nat = out->elems.size();
+      }
+      if (!Build(spec.kids[1], frame, &out->kids[1])) return false;
+      out->type = out->kids[1].type;
+      if (out->type == Type::kBool) return false;  // SumFold's error, generically
+      // An empty real Sum is Nat(0): only a nonzero constant trip count lets
+      // the unchecked evaluator, which cannot bail out, run it.
+      if (out->type == Type::kReal &&
+          !(out->kids[0].op == KernelSpec::Op::kNatConst && out->kids[0].nat != 0)) {
+        unchecked_ = false;
+      }
+      return true;
+    }
     case KernelSpec::Op::kLiteralArr:
-      return false;  // only legal as a kSubscript's array operand
+    case KernelSpec::Op::kLiteralSet:
+      return false;  // only legal as a kSubscript's array or a kSum's source
   }
   return false;
 }
@@ -455,15 +528,13 @@ std::unique_ptr<Kernel> Kernel::Instantiate(const KernelSpec& spec, const Frame&
   std::unique_ptr<Kernel> k(new Kernel());
   // The ArrayRep pointers taken while building stay valid as pinned_
   // grows: each rep is heap-owned by its Value's shared_ptr.
-  bool unchecked = true;
-  if (!Build(spec, frame, &k->pinned_, &k->root_, &unchecked)) return nullptr;
-  k->unchecked_ = unchecked;
+  if (!k->Build(spec, frame, &k->root_)) return nullptr;
   return k;
 }
 
 // ---------- evaluation ----------
 
-bool Kernel::SubscriptFlat(const RtNode& n, const uint64_t* idx, uint64_t* flat) {
+bool Kernel::SubscriptFlat(const RtNode& n, uint64_t* idx, uint64_t* flat) {
   const ArrayRep& a = *n.arr;
   uint64_t f = 0;
   for (size_t i = 0; i < n.kids.size(); ++i) {
@@ -476,8 +547,40 @@ bool Kernel::SubscriptFlat(const RtNode& n, const uint64_t* idx, uint64_t* flat)
   return true;
 }
 
-bool Kernel::NatAt(const RtNode& n, const uint64_t* idx, uint64_t* out) {
+namespace {
+
+// Interrupt polling inside a Sum: every kPollMask + 1 elements.
+constexpr uint64_t kPollMask = 0xFFF;
+
+bool Interrupted() { return !CheckInterrupt().ok(); }
+
+}  // namespace
+
+// The Sum fold over `trips` source elements: binds n.binder to each in
+// turn and adds part(idx) to a total that starts at 0, left to right.
+// `part` returns false when the part is ⊥ (the checked evaluators), and
+// so does Fold; the unchecked ones pass a `part` that always succeeds.
+template <typename T, typename Part>
+bool Kernel::Fold(const RtNode& n, uint64_t trips, uint64_t* idx, T* out, const Part& part) {
+  const uint64_t* elems = n.elems.empty() ? nullptr : n.elems.data();
+  T total = 0;
+  for (uint64_t t = 0; t < trips; ++t) {
+    if ((t & kPollMask) == kPollMask && Interrupted()) break;
+    idx[n.binder] = elems != nullptr ? elems[t] : t;
+    T x;
+    if (!part(n.kids[1], idx, &x)) return false;
+    total += x;
+  }
+  *out = total;
+  return true;
+}
+
+bool Kernel::NatAt(const RtNode& n, uint64_t* idx, uint64_t* out) {
   switch (n.op) {
+    case KernelSpec::Op::kSum: {
+      uint64_t trips;
+      return NatAt(n.kids[0], idx, &trips) && Fold(n, trips, idx, out, NatAt);
+    }
     case KernelSpec::Op::kNatConst:
       *out = n.nat;
       return true;
@@ -518,8 +621,13 @@ bool Kernel::NatAt(const RtNode& n, const uint64_t* idx, uint64_t* out) {
   }
 }
 
-bool Kernel::RealAt(const RtNode& n, const uint64_t* idx, double* out) {
+bool Kernel::RealAt(const RtNode& n, uint64_t* idx, double* out) {
   switch (n.op) {
+    case KernelSpec::Op::kSum: {
+      uint64_t trips;
+      if (!NatAt(n.kids[0], idx, &trips) || trips == 0) return false;  // empty: Nat(0)
+      return Fold(n, trips, idx, out, RealAt);
+    }
     case KernelSpec::Op::kRealConst:
       *out = n.real;
       return true;
@@ -551,7 +659,7 @@ bool Kernel::RealAt(const RtNode& n, const uint64_t* idx, double* out) {
   }
 }
 
-bool Kernel::BoolAt(const RtNode& n, const uint64_t* idx, uint8_t* out) {
+bool Kernel::BoolAt(const RtNode& n, uint64_t* idx, uint8_t* out) {
   switch (n.op) {
     case KernelSpec::Op::kBoolConst:
       *out = n.boolean;
@@ -606,13 +714,13 @@ bool Kernel::BoolAt(const RtNode& n, const uint64_t* idx, uint8_t* out) {
   }
 }
 
-bool Kernel::EvalNat(const uint64_t* idx, uint64_t* out) const {
+bool Kernel::EvalNat(uint64_t* idx, uint64_t* out) const {
   return NatAt(root_, idx, out);
 }
-bool Kernel::EvalReal(const uint64_t* idx, double* out) const {
+bool Kernel::EvalReal(uint64_t* idx, double* out) const {
   return RealAt(root_, idx, out);
 }
-bool Kernel::EvalBool(const uint64_t* idx, uint8_t* out) const {
+bool Kernel::EvalBool(uint64_t* idx, uint8_t* out) const {
   return BoolAt(root_, idx, out);
 }
 
@@ -623,7 +731,7 @@ bool Kernel::EvalBool(const uint64_t* idx, uint8_t* out) const {
 // reachable behind unchecked() — instantiation proved every subscript
 // in-range against the concrete extents and every nat divisor nonzero.
 
-uint64_t Kernel::FlatU(const RtNode& n, const uint64_t* idx) {
+uint64_t Kernel::FlatU(const RtNode& n, uint64_t* idx) {
   const ArrayRep& a = *n.arr;
   uint64_t f = 0;
   for (size_t i = 0; i < n.kids.size(); ++i) {
@@ -632,8 +740,14 @@ uint64_t Kernel::FlatU(const RtNode& n, const uint64_t* idx) {
   return f;
 }
 
-uint64_t Kernel::NatAtU(const RtNode& n, const uint64_t* idx) {
+uint64_t Kernel::NatAtU(const RtNode& n, uint64_t* idx) {
   switch (n.op) {
+    case KernelSpec::Op::kSum: {
+      uint64_t total = 0;
+      Fold(n, NatAtU(n.kids[0], idx), idx, &total,
+           [](const RtNode& b, uint64_t* i, uint64_t* x) { return (*x = NatAtU(b, i), true); });
+      return total;
+    }
     case KernelSpec::Op::kNatConst:
       return n.nat;
     case KernelSpec::Op::kBinder:
@@ -659,8 +773,15 @@ uint64_t Kernel::NatAtU(const RtNode& n, const uint64_t* idx) {
   }
 }
 
-double Kernel::RealAtU(const RtNode& n, const uint64_t* idx) {
+double Kernel::RealAtU(const RtNode& n, uint64_t* idx) {
   switch (n.op) {
+    case KernelSpec::Op::kSum: {
+      // Unchecked only with a nonzero constant trip count (Build).
+      double total = 0;
+      Fold(n, n.kids[0].nat, idx, &total,
+           [](const RtNode& b, uint64_t* i, double* x) { return (*x = RealAtU(b, i), true); });
+      return total;
+    }
     case KernelSpec::Op::kRealConst:
       return n.real;
     case KernelSpec::Op::kArith: {
@@ -684,7 +805,7 @@ double Kernel::RealAtU(const RtNode& n, const uint64_t* idx) {
   }
 }
 
-uint8_t Kernel::BoolAtU(const RtNode& n, const uint64_t* idx) {
+uint8_t Kernel::BoolAtU(const RtNode& n, uint64_t* idx) {
   switch (n.op) {
     case KernelSpec::Op::kBoolConst:
       return n.boolean;
@@ -729,13 +850,13 @@ uint8_t Kernel::BoolAtU(const RtNode& n, const uint64_t* idx) {
   }
 }
 
-uint64_t Kernel::EvalNatUnchecked(const uint64_t* idx) const {
+uint64_t Kernel::EvalNatUnchecked(uint64_t* idx) const {
   return NatAtU(root_, idx);
 }
-double Kernel::EvalRealUnchecked(const uint64_t* idx) const {
+double Kernel::EvalRealUnchecked(uint64_t* idx) const {
   return RealAtU(root_, idx);
 }
-uint8_t Kernel::EvalBoolUnchecked(const uint64_t* idx) const {
+uint8_t Kernel::EvalBoolUnchecked(uint64_t* idx) const {
   return BoolAtU(root_, idx);
 }
 

@@ -27,6 +27,16 @@
 // re-runs the whole tabulation generically, producing the partial array
 // with per-point ⊥ holes that the semantics require.
 //
+// The fragment includes Sum: `Sum{ b | s in src }` with a kernel body b
+// and a source that is a counted gen(e) (e a kernel nat expression) or a
+// slot or literal holding a set of nats (copied once, at instantiation,
+// into a flat buffer). It folds exactly like the generic SumFold: nat
+// addition wraps, real addition runs left to right from 0.0, and an
+// empty source is Nat(0) — which a real-typed Sum cannot hold, so it
+// reports ⊥ there and the caller's generic re-run produces the Nat(0).
+// The same kernel runs a standalone Sum's body (exec/compiled.cc), with
+// the Sum's own binder as binder 0.
+//
 // A third stage removes even those per-cell tests: AnnotateKernelSpec
 // attaches static proofs (subscript in-range, divisor nonzero) from the
 // abstract-interpretation framework (src/analysis/absint.h), and
@@ -66,13 +76,17 @@ struct KernelSpec {
     kSubscript,   // kids[0] is the array (kSlot or kLiteralArr); kids[1..] nat indices
     kLiteralArr,  // inlined literal array (value in `literal`)
     kDimOf,       // extent `index` of the rank-`nat` array kids[0]
+    kSum,         // Sum{ kids[1] | binder `index` in kids[0] }; `boolean`: the
+                  // source is a counted gen and kids[0] its nat count, else
+                  // kids[0] is a kSlot or kLiteralSet holding a set of nats
+    kLiteralSet,  // inlined literal set (value in `literal`), a kSum source
   };
 
   Op op;
   uint64_t nat = 0;
   double real = 0;
   bool boolean = false;
-  size_t index = 0;  // binder position (kBinder), frame slot (kSlot), dim (kDimOf)
+  size_t index = 0;  // binder position (kBinder, kSum), frame slot (kSlot), dim (kDimOf)
   ArithOp arith = ArithOp::kAdd;
   CmpOp cmp = CmpOp::kEq;
   Value literal;  // kLiteralArr only (vals inline as literals, §4 openness)
@@ -96,22 +110,25 @@ using SlotLookup = std::function<Result<size_t>(const std::string&)>;
 
 // Builds the kernel spec for `body`, or nullptr if the body leaves the
 // kernel fragment. `binder_slots` are the tabulation's index slots in
-// binder order; variables bound to other slots become kSlot leaves.
+// binder order; variables bound to other slots become kSlot leaves. Each
+// Sum in the body gets the next binder position after them.
 std::unique_ptr<KernelSpec> BuildKernelSpec(const Expr& body,
                                             const std::vector<size_t>& binder_slots,
                                             const SlotLookup& lookup);
 
-// Attaches bound/definedness proofs to a spec built from `tab`'s body
-// (div_safe, idx_proven, idx_ub above), using the shared symbolic prover:
-// tabulation binders are below their bounds, a conditional's test holds
-// in its then-branch. Sound because the kernel fragment introduces no
-// binders of its own — a name means the same frame slot everywhere — and
-// the loop extents are the evaluated bounds. Called once at compile time.
+// Attaches bound/definedness proofs to a spec built from the body of
+// `loop` — a tabulation, or a Sum whose body the spec is — (div_safe,
+// idx_proven, idx_ub above), using the shared symbolic prover:
+// tabulation binders are below their bounds, a Sum binder over gen(n) is
+// below n, a conditional's test holds in its then-branch. A Sum inside
+// the body kills the facts that mention its binder (analysis::
+// KillShadowed) before adding its own, and the loop extents are the
+// evaluated bounds. Called once at compile time.
 // The relational affine domain (analysis/affine.h) tightens idx_ub and
 // proves in-bounds where the syntactic provers give up (cancellation,
 // exact division); when an affine fact is what closed the proof, an
 // "unchecked-kernel-bounds" certificate is appended to `proof`.
-void AnnotateKernelSpec(const Expr& tab, KernelSpec* spec,
+void AnnotateKernelSpec(const Expr& loop, KernelSpec* spec,
                         analysis::Proof* proof = nullptr);
 
 // A spec instantiated against one concrete frame: fully typed, slot
@@ -133,17 +150,27 @@ class Kernel {
   // below are total and the per-cell ⊥ protocol can be skipped.
   bool unchecked() const { return unchecked_; }
 
+  // Number of binder positions evaluation reads and writes: the loop's own
+  // binders, then one per Sum. `idx` below must have at least this many
+  // entries; the Sums use theirs as scratch, so each thread needs its own.
+  size_t binders() const { return binders_; }
+  // Number of Sums folded inside the kernel.
+  size_t sums() const { return sums_; }
+
   // Evaluate the body at multi-index `idx` (binder order). Exactly one of
   // these matches result_type(); all return false when the value is ⊥.
-  bool EvalNat(const uint64_t* idx, uint64_t* out) const;
-  bool EvalReal(const uint64_t* idx, double* out) const;
-  bool EvalBool(const uint64_t* idx, uint8_t* out) const;
+  // A Sum polls CheckInterrupt() every 4096 elements and, when the query
+  // was interrupted, stops early with a meaningless value: callers poll
+  // CheckInterrupt() once more after their loop and return its status.
+  bool EvalNat(uint64_t* idx, uint64_t* out) const;
+  bool EvalReal(uint64_t* idx, double* out) const;
+  bool EvalBool(uint64_t* idx, uint8_t* out) const;
 
   // Checkless evaluation: no per-cell bounds tests, no ⊥ signalling.
   // Callers must hold unchecked() == true.
-  uint64_t EvalNatUnchecked(const uint64_t* idx) const;
-  double EvalRealUnchecked(const uint64_t* idx) const;
-  uint8_t EvalBoolUnchecked(const uint64_t* idx) const;
+  uint64_t EvalNatUnchecked(uint64_t* idx) const;
+  double EvalRealUnchecked(uint64_t* idx) const;
+  uint8_t EvalBoolUnchecked(uint64_t* idx) const;
 
  private:
   struct RtNode {
@@ -156,27 +183,33 @@ class Kernel {
     ArithOp arith = ArithOp::kAdd;
     CmpOp cmp = CmpOp::kEq;
     const ArrayRep* arr = nullptr;  // kSubscript: dims + unboxed buffer
+    // kSum: kids[0] is the trip count, kids[1] the body; the binder takes
+    // the values of `elems` (a set source) or 0, 1, ... (a counted gen).
+    std::vector<uint64_t> elems;
     std::vector<RtNode> kids;
   };
 
   Kernel() = default;
 
-  static bool Build(const KernelSpec& spec, const Frame& frame,
-                    std::vector<Value>* pinned, RtNode* out, bool* unchecked);
+  bool Build(const KernelSpec& spec, const Frame& frame, RtNode* out);
 
-  static bool NatAt(const RtNode& n, const uint64_t* idx, uint64_t* out);
-  static bool RealAt(const RtNode& n, const uint64_t* idx, double* out);
-  static bool BoolAt(const RtNode& n, const uint64_t* idx, uint8_t* out);
-  static bool SubscriptFlat(const RtNode& n, const uint64_t* idx, uint64_t* flat);
+  static bool NatAt(const RtNode& n, uint64_t* idx, uint64_t* out);
+  static bool RealAt(const RtNode& n, uint64_t* idx, double* out);
+  static bool BoolAt(const RtNode& n, uint64_t* idx, uint8_t* out);
+  static bool SubscriptFlat(const RtNode& n, uint64_t* idx, uint64_t* flat);
+  template <typename T, typename Part>
+  static bool Fold(const RtNode& n, uint64_t trips, uint64_t* idx, T* out, const Part& part);
 
-  static uint64_t NatAtU(const RtNode& n, const uint64_t* idx);
-  static double RealAtU(const RtNode& n, const uint64_t* idx);
-  static uint8_t BoolAtU(const RtNode& n, const uint64_t* idx);
-  static uint64_t FlatU(const RtNode& n, const uint64_t* idx);
+  static uint64_t NatAtU(const RtNode& n, uint64_t* idx);
+  static double RealAtU(const RtNode& n, uint64_t* idx);
+  static uint8_t BoolAtU(const RtNode& n, uint64_t* idx);
+  static uint64_t FlatU(const RtNode& n, uint64_t* idx);
 
   RtNode root_;
   std::vector<Value> pinned_;  // keeps subscripted arrays alive
-  bool unchecked_ = false;
+  bool unchecked_ = true;      // cleared by Build at each undischarged ⊥ source
+  size_t binders_ = 0;
+  size_t sums_ = 0;
 };
 
 }  // namespace exec

@@ -76,6 +76,12 @@ struct ExecStats {
   std::atomic<uint64_t> set_probes{0};
   std::atomic<uint64_t> set_ranges{0};
   std::atomic<uint64_t> sorts_skipped{0};
+  // Aggregates (compiled.cc): Sums folded by a typed kernel (standalone,
+  // or inside a tabulation kernel, counted once per tabulation run), and
+  // index_k runs whose comprehension filed its pairs straight into the
+  // buckets.
+  std::atomic<uint64_t> sum_kernels{0};
+  std::atomic<uint64_t> index_fused{0};
 };
 ExecStats& GlobalExecStats();
 

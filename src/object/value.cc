@@ -241,6 +241,7 @@ int Cmp3(const T& a, const T& b) {
 }
 
 int CompareValueVectors(const std::vector<Value>& a, const std::vector<Value>& b) {
+  if (&a == &b) return 0;  // shared rep: <_t is reflexive, NaN included
   size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
     int c = Value::Compare(a[i], b[i]);
@@ -347,12 +348,15 @@ Value Value::SetUnion(const Value& a, const Value& b) {
 
 namespace {
 
-void AppendValue(const Value& v, std::string* out);
+// Appends the exchange-format rendering of `v`, stopping once `out` holds
+// `limit` characters. A bounded rendering (limit != SIZE_MAX) never reads
+// a tiled array's contents: it prints "..." in their place.
+void AppendValue(const Value& v, size_t limit, std::string* out);
 
-void AppendJoined(const std::vector<Value>& vs, std::string* out) {
-  for (size_t i = 0; i < vs.size(); ++i) {
+void AppendJoined(const std::vector<Value>& vs, size_t limit, std::string* out) {
+  for (size_t i = 0; i < vs.size() && out->size() < limit; ++i) {
     if (i > 0) out->append(", ");
-    AppendValue(vs[i], out);
+    AppendValue(vs[i], limit, out);
   }
 }
 
@@ -370,7 +374,8 @@ void AppendQuoted(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
-void AppendValue(const Value& v, std::string* out) {
+void AppendValue(const Value& v, size_t limit, std::string* out) {
+  if (out->size() >= limit) return;
   switch (v.kind()) {
     case ValueKind::kBottom:
       out->append("bottom");
@@ -389,12 +394,12 @@ void AppendValue(const Value& v, std::string* out) {
       return;
     case ValueKind::kTuple:
       out->push_back('(');
-      AppendJoined(v.tuple_fields(), out);
+      AppendJoined(v.tuple_fields(), limit, out);
       out->push_back(')');
       return;
     case ValueKind::kSet:
       out->push_back('{');
-      AppendJoined(v.set().elems, out);
+      AppendJoined(v.set().elems, limit, out);
       out->push_back('}');
       return;
     case ValueKind::kArray: {
@@ -405,9 +410,13 @@ void AppendValue(const Value& v, std::string* out) {
         out->append(std::to_string(a.dims[i]));
       }
       out->append("; ");
-      for (uint64_t i = 0, n = a.Count(); i < n; ++i) {
-        if (i > 0) out->append(", ");
-        AppendValue(a.At(i), out);
+      if (limit != SIZE_MAX && a.payload == ArrayRep::Payload::kTiled) {
+        out->append("...");
+      } else {
+        for (uint64_t i = 0, n = a.Count(); i < n && out->size() < limit; ++i) {
+          if (i > 0) out->append(", ");
+          AppendValue(a.At(i), limit, out);
+        }
       }
       out->append("]]");
       return;
@@ -472,7 +481,7 @@ void AppendDisplay(const Value& v, size_t max_items, std::string* out) {
       return;
     }
     default:
-      AppendValue(v, out);
+      AppendValue(v, SIZE_MAX, out);
   }
 }
 
@@ -480,7 +489,14 @@ void AppendDisplay(const Value& v, size_t max_items, std::string* out) {
 
 std::string Value::ToString() const {
   std::string out;
-  AppendValue(*this, &out);
+  AppendValue(*this, SIZE_MAX, &out);
+  return out;
+}
+
+std::string Value::ToString(size_t max_len) const {
+  std::string out;
+  AppendValue(*this, max_len, &out);
+  if (out.size() > max_len) out.resize(max_len);
   return out;
 }
 

@@ -231,6 +231,10 @@ class Value {
   // Exchange-format rendering (§3 grammar). Arrays print in the dense
   // row-major literal form [[d1,...,dk; v0,...,vn-1]].
   std::string ToString() const;
+  // The first `max_len` characters of ToString(), rendered without going
+  // further — except that a tiled array's contents print as "...", so a
+  // bounded rendering never reads a tile.
+  std::string ToString(size_t max_len) const;
   // Display form used by the REPL: arrays print as [[(i1,..,ik):v, ...]]
   // like the sample session in §4.2; long values are elided after
   // `max_items` entries per collection (0 means no limit).

@@ -322,6 +322,8 @@ void QueryService::SyncExecStats() const {
   sync(metrics_.GetCounter("exec.set.probes"), stats.set_probes);
   sync(metrics_.GetCounter("exec.set.ranges"), stats.set_ranges);
   sync(metrics_.GetCounter("exec.set.sorts_skipped"), stats.sorts_skipped);
+  sync(metrics_.GetCounter("exec.sum.kernels"), stats.sum_kernels);
+  sync(metrics_.GetCounter("exec.index.fused"), stats.index_fused);
 
   // Same delta treatment for the per-mutex contention counters
   // (base/sync.h). Names arrive dotted-lowercase, so they pass

@@ -2,7 +2,8 @@
 // shared by the property tests (optimizer soundness, expression hashing).
 // Shapes: nat expressions, bool expressions, {nat} sets, and [[nat]]_1
 // arrays, with nat variables bound by Sum / BigUnion / Tab binders. Big
-// union bodies are sometimes guarded by a comparison of their binder.
+// union bodies are sometimes guarded by a comparison of their binder, and
+// tabulation bodies are sometimes a Sum over gen.
 
 #ifndef AQL_TESTS_EXPR_GEN_H_
 #define AQL_TESTS_EXPR_GEN_H_
@@ -101,12 +102,22 @@ class ExprGen {
       return Expr::Dense(1, {Expr::NatConst(n)}, std::move(elems));
     }
     std::string v = Push();
-    ExprPtr body = Nat(depth - 1);
+    ExprPtr body = rng_() % 3 == 0 ? SumOverGen(v, depth - 1) : Nat(depth - 1);
     Pop();
     return Expr::Tab({v}, body, {Expr::NatConst(rng_() % 5)});
   }
 
  private:
+  // Sum{ e | s in gen(n) } with n a small constant or the tabulation's
+  // binder `v`: the aggregate a tabulation kernel folds in place.
+  ExprPtr SumOverGen(const std::string& v, int depth) {
+    ExprPtr count = rng_() % 2 == 0 ? Expr::NatConst(rng_() % 6) : Expr::Var(v);
+    std::string s = Push();
+    ExprPtr part = Nat(depth);
+    Pop();
+    return Expr::Sum(s, std::move(part), Expr::Gen(std::move(count)));
+  }
+
   ExprPtr Leaf() {
     if (!scope_.empty() && rng_() % 2 == 0) {
       return Expr::Var(scope_[rng_() % scope_.size()]);

@@ -685,6 +685,46 @@ TEST(OutOfCore, PlanFactsNeverReadTheTiledArray) {
   std::remove(path.c_str());
 }
 
+// Labels and certificates over a term that wraps a tiled literal render a
+// bounded prefix and never read the variable: a tab over it, a subscript
+// of that tab, and a range-probe certificate whose guard mentions it.
+TEST(OutOfCore, LabelsOverATabOfATiledVariableReadNoTiles) {
+  std::string path = TempPath("aql_storage_labels.nc");
+  WriteGrid(path, 64, 16);
+  ScopedEnv thr("AQL_TILED_READ_THRESHOLD", "1");
+  ScopedEnv tb("AQL_TILE_BYTES", "2048");
+  TileStore::Global().Clear();
+
+  System sys;
+  auto rd = sys.Run("readval \\S using NETCDF2 at (\"" + path +
+                    "\", \"v\", (0, 0), (63, 15));");
+  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
+  const Value& tiled = rd->back().value;
+  ASSERT_EQ(tiled.array().payload, ArrayRep::Payload::kTiled);
+
+  ExprPtr tab = Expr::Tab(
+      {"i", "j"},
+      Expr::Subscript(Expr::Literal(tiled), Expr::Tuple({Expr::Var("i"), Expr::Var("j")})),
+      {Expr::NatConst(64), Expr::NatConst(16)});
+  ExprPtr corner = Expr::Subscript(tab, Expr::Tuple({Expr::NatConst(0), Expr::NatConst(0)}));
+  ExprPtr guarded = Expr::BigUnion(
+      "x",
+      Expr::If(Expr::Cmp(CmpOp::kLt, Expr::Var("x"), corner), Expr::Singleton(Expr::Var("x")),
+               Expr::EmptySet()),
+      Expr::Gen(Expr::NatConst(5)));
+  const uint64_t misses_before = TileStore::Global().stats().misses;
+  const std::string label = analysis::RenderArrayExpr(tab);
+  EXPECT_LE(label.size(), 40u);
+  EXPECT_LE(analysis::RenderArrayExpr(corner).size(), 40u);
+  EXPECT_EQ(tab->ToString(30), tab->ToString(200).substr(0, 30));
+  Result<exec::Program> program = exec::Compile(guarded, nullptr);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_NE(program->proof().ToString().find("range-probe"), std::string::npos);
+  EXPECT_EQ(TileStore::Global().stats().misses, misses_before)
+      << "a label read the tiled variable: " << label;
+  std::remove(path.c_str());
+}
+
 // ---- aggregate pruning over zone maps ----
 
 TEST(OutOfCore, PrunedAggregateSkipsConstantTiles) {
